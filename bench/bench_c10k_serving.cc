@@ -1,9 +1,9 @@
 // C10K serving benchmark: one event-loop server, >= 1000 simultaneous
 // TCP clients. Two phases:
 //
-//   c10k     — N clients connect, each sends BOUND requests; the
-//              coalescer folds the cross-connection fan-in into
-//              ShardedBoundSolver batches. Reported: wall time,
+//   c10k     — N clients connect, each sends BOUND requests; BOUNDs
+//              that arrive while every solver worker is busy fold into
+//              one ShardedBoundSolver batch. Reported: wall time,
 //              replies/s, and the coalescing counters (the batch sizes
 //              are the whole point — max_batch > 1 proves requests from
 //              different connections solved together).
@@ -202,7 +202,6 @@ void RunC10k(size_t clients, size_t rounds, const std::string& snapshot,
              bench::JsonEmitter& json) {
   EventLoopListener::Options options;
   options.solver_threads = 4;
-  options.coalesce_us = 2000;  // a fat window: let the fan-in pile up
   options.max_queue = clients * rounds + 16;
   options.max_conn_pending = rounds + 4;
   BenchServer server(options, snapshot);
@@ -272,7 +271,6 @@ void RunOverload(size_t clients, const std::string& snapshot,
   options.solver_threads = 1;
   options.max_queue = 16;  // tiny on purpose: the burst must overflow it
   options.max_conn_pending = 64;
-  options.coalesce_us = 20000;
   BenchServer server(options, snapshot);
 
   constexpr size_t kPipelined = 4;

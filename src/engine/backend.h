@@ -30,7 +30,7 @@ struct EngineStats {
   size_t lp_solves = 0;
   size_t lp_pivots = 0;
   /// Event-loop transport counters (zero for in-process backends and
-  /// for servers running the thread-per-session compatibility mode).
+  /// for servers answering on stdio).
   size_t queue_depth = 0;
   size_t queue_high_water = 0;
   size_t coalesced_batches = 0;

@@ -11,6 +11,7 @@
 #ifndef _WIN32
 #include <netdb.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -50,6 +51,11 @@ StatusOr<std::unique_ptr<TcpClientTransport>> TcpClientTransport::Connect(
   if (fd < 0) {
     return Status::Unavailable("cannot connect to " + host + ":" + service);
   }
+  // Every request line goes out in one send; with Nagle on, a request
+  // pipelined behind an unacknowledged one waits out the server's
+  // delayed ACK.
+  const int enable = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
   return std::unique_ptr<TcpClientTransport>(new TcpClientTransport(fd));
 }
 

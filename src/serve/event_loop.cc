@@ -1,19 +1,46 @@
 #include "serve/event_loop.h"
 
+#include <cerrno>
+
+namespace pcx {
+
+bool IsTransientAcceptError(int error_code) {
+  switch (error_code) {
+    case ECONNABORTED:  // client gave up during the handshake
+    case EPROTO:        // protocol error on the nascent connection
+    case EINTR:
+    case EAGAIN:
+#if EAGAIN != EWOULDBLOCK
+    case EWOULDBLOCK:
+#endif
+    case EMFILE:   // fd exhaustion: per-process...
+    case ENFILE:   // ...or system-wide — connections ending will free fds
+    case ENOBUFS:
+    case ENOMEM:
+      return true;
+    default:
+      return false;  // EBADF, EINVAL, ENOTSOCK, EFAULT...: listener broken
+  }
+}
+
+}  // namespace pcx
+
 #if defined(__linux__)
 
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -39,6 +66,10 @@ using SteadyClock = std::chrono::steady_clock;
 constexpr uint64_t kListenerId = 0;
 constexpr uint64_t kWakeId = 1;
 constexpr uint64_t kFirstConnId = 2;
+
+/// Most BOUNDs one coalesced batch carries; a longer backlog is split
+/// across consecutive batches.
+constexpr size_t kMaxBatch = 256;
 
 /// One finished async request: which connection, which reply slot, the
 /// reply text. Produced by pool workers, applied by the loop thread.
@@ -66,8 +97,8 @@ struct CompletionQueue {
 };
 
 /// A reply slot: replies on one connection go back in request order
-/// even though they complete out of order (HEALTH inline, BOUND on the
-/// next batch, GROUPBY whenever its worker finishes). Slots are filled
+/// even though they complete out of order (HEALTH inline, BOUND with
+/// its batch, GROUPBY whenever its worker finishes). Slots are filled
 /// by seq and flushed from the front only once done.
 struct Slot {
   uint64_t seq = 0;
@@ -92,8 +123,8 @@ struct Conn {
   /// and the connection closes once every slot is flushed.
   bool closing = false;
   /// Oversized-line state: discard input until this many bytes have
-  /// been thrown away (then close), mirroring the legacy session's
-  /// bounded post-ERR drain so the ERR reply survives teardown.
+  /// been thrown away (then close) — a bounded post-ERR drain, so the
+  /// ERR reply survives teardown.
   size_t discard_budget = 0;
   bool discarding = false;
   bool want_write = false;  ///< EPOLLOUT currently requested
@@ -104,7 +135,7 @@ struct Conn {
       std::make_shared<BoundServer::Session>();
 };
 
-/// A BOUND admitted into the coalescing window, waiting for the batch.
+/// An admitted BOUND waiting for a free worker to take its batch.
 struct PendingBound {
   uint64_t conn_id = 0;
   uint64_t seq = 0;
@@ -154,8 +185,8 @@ class Loop {
             "(microseconds)")),
         coalesce_wait_hist_(&server.metrics().GetHistogram(
             "pcx_coalesce_wait_us", {},
-            "Time a BOUND waited in the coalescing window before batch "
-            "dispatch (microseconds)")),
+            "Time a BOUND waited for a free solver worker before its "
+            "batch was dispatched (microseconds)")),
         coalesce_batch_hist_(&server.metrics().GetHistogram(
             "pcx_coalesce_batch_size", {},
             "Requests per dispatched coalesced BOUND batch")),
@@ -187,7 +218,8 @@ class Loop {
     ::epoll_ctl(epfd_, EPOLL_CTL_MOD, conn.fd, &ev);
   }
 
-  /// Wakes the loop from a pool worker (completions are ready).
+  /// Wakes the loop from a pool worker (completions are ready, and a
+  /// worker is free for the next batch).
   void Wake() {
     const char byte = 1;
     ssize_t ignored = ::write(wake_write_, &byte, 1);
@@ -213,7 +245,17 @@ class Loop {
   /// True when admission control rejected (slot answered UNAVAILABLE).
   bool RejectIfOverloaded(Conn& conn, Slot& slot);
   void SubmitHandleLineTask(Conn& conn, Slot& slot, std::string line);
-  void DispatchBoundBatch();
+  /// Runs `task` on the pool, counted in pool_tasks_ (and its `bounds`
+  /// BOUNDs in bounds_in_flight_) until it returns.
+  void SubmitToPool(std::function<void()> task, size_t bounds = 0);
+  /// Natural batching, run once at the end of every epoll sweep (never
+  /// per line): while a worker is free, it takes its share of the
+  /// outstanding BOUNDs (pending plus in flight), ceil(outstanding /
+  /// workers) and at most kMaxBatch. While another batch is solving, a
+  /// backlog shorter than floor(outstanding / workers) waits for more.
+  void DispatchWhileWorkersFree();
+  /// Moves the first `take` pending BOUNDs into one batch on the pool.
+  void DispatchBoundBatch(size_t take);
 
   // -- reply path -----------------------------------------------------
 
@@ -254,7 +296,12 @@ class Loop {
   std::optional<SteadyClock::time_point> accept_rearm_at_;
 
   std::vector<PendingBound> pending_bounds_;
-  std::optional<SteadyClock::time_point> batch_deadline_;
+  /// Pool tasks (BOUND batches, GROUPBY/LOAD/traced requests) submitted
+  /// and not yet finished. The worker decrements it before it wakes the
+  /// loop, so the sweep that wake starts sees the worker as free.
+  std::atomic<size_t> pool_tasks_{0};
+  /// BOUNDs in the batches counted in pool_tasks_, decremented first.
+  std::atomic<size_t> bounds_in_flight_{0};
 
   std::shared_ptr<CompletionQueue> completions_;
   std::vector<uint64_t> doomed_;  ///< conns to destroy after event sweep
@@ -291,6 +338,11 @@ void Loop::AcceptReady() {
       accept_rearm_at_.reset();
       return;
     }
+    // Each reply goes out in one send; with Nagle on, a reply sent while
+    // the previous one is unacknowledged waits out the client's delayed
+    // ACK (tens of milliseconds).
+    const int enable = 1;
+    ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
     auto conn = std::make_unique<Conn>();
     conn->fd = client;
     conn->id = next_conn_id_++;
@@ -349,20 +401,30 @@ bool Loop::RejectIfOverloaded(Conn& conn, Slot& slot) {
   return true;
 }
 
+void Loop::SubmitToPool(std::function<void()> task, size_t bounds) {
+  pool_tasks_.fetch_add(1);
+  bounds_in_flight_.fetch_add(bounds);
+  pool_.Submit([this, bounds, task = std::move(task)] {
+    task();
+    bounds_in_flight_.fetch_sub(bounds);
+    pool_tasks_.fetch_sub(1);
+    Wake();
+  });
+}
+
 void Loop::SubmitHandleLineTask(Conn& conn, Slot& slot, std::string line) {
   NoteQueued();
-  pool_.Submit([this, conn_id = conn.id, seq = slot.seq,
+  SubmitToPool([this, conn_id = conn.id, seq = slot.seq,
                 line = std::move(line), session = conn.session,
                 enqueued = SteadyClock::now()] {
     // HandleLine is thread-safe and does its own epoch pinning, so a
-    // GROUPBY block here is single-epoch exactly like on the legacy
-    // transport. The requests counter is bumped by HandleLine itself.
+    // GROUPBY block here is single-epoch exactly like on stdio. The
+    // requests counter is bumped by HandleLine itself.
     queue_wait_hist_->Observe(MicrosSince(enqueued));
     std::ostringstream out;
     server_.HandleLine(line, out, session.get());
     server_.transport().queue_depth.Sub(1);
     completions_->Push({Completion{conn_id, seq, out.str()}});
-    Wake();
   });
 }
 
@@ -396,7 +458,8 @@ void Loop::DispatchLine(Conn& conn, const std::string& line) {
       SubmitHandleLineTask(conn, slot, line);
       return;
     }
-    // The coalescing fast path: parse here (cheap), batch the solve.
+    // The coalescing fast path: parse here (cheap), batch the solve at
+    // the end of the sweep.
     server_.NoteRequestVerb("BOUND");
     Slot& slot = NewSlot(conn);
     if (RejectIfOverloaded(conn, slot)) return;
@@ -417,11 +480,6 @@ void Loop::DispatchLine(Conn& conn, const std::string& line) {
     pending_bounds_.push_back(PendingBound{conn.id, slot.seq,
                                            *std::move(query), line,
                                            SteadyClock::now()});
-    if (!batch_deadline_.has_value()) {
-      batch_deadline_ = SteadyClock::now() +
-                        std::chrono::microseconds(options_.coalesce_us);
-    }
-    if (pending_bounds_.size() >= options_.max_batch) DispatchBoundBatch();
     return;
   }
 
@@ -437,19 +495,42 @@ void Loop::DispatchLine(Conn& conn, const std::string& line) {
     return;
   }
 
-  // Everything else — HEALTH, STATS, unknown verbs — answers inline
-  // through the one shared dispatcher, so replies and typed errors are
-  // byte-identical to the legacy transport's.
+  // Everything else — HEALTH, STATS, the mutation verbs, SYNC, unknown
+  // verbs — answers inline through the one shared dispatcher, so
+  // replies and typed errors are byte-identical to stdio serving's.
   Slot& slot = NewSlot(conn);
   std::ostringstream out;
   server_.HandleLine(line, out, conn.session.get());
   CompleteInline(conn, slot, out.str());
 }
 
-void Loop::DispatchBoundBatch() {
-  if (pending_bounds_.empty()) return;
-  batch_deadline_.reset();
-  std::vector<PendingBound> batch = std::exchange(pending_bounds_, {});
+void Loop::DispatchWhileWorkersFree() {
+  const size_t workers = pool_.num_threads();
+  while (!pending_bounds_.empty() && pool_tasks_.load() < workers) {
+    const size_t in_flight = bounds_in_flight_.load();
+    const size_t outstanding = pending_bounds_.size() + in_flight;
+    // A batch's replies go out together and its clients answer
+    // together, so taking whatever this sweep happened to read would
+    // split such a group whenever its lines straddle two sweeps, and
+    // the pieces would keep cycling as batches of their own. Holding a
+    // short backlog while another batch solves lets the group gather:
+    // batch sizes then follow the load, not each run's timing.
+    if (in_flight > 0 &&
+        pending_bounds_.size() < std::min(kMaxBatch, outstanding / workers)) {
+      return;
+    }
+    DispatchBoundBatch(
+        std::min(kMaxBatch, (outstanding + workers - 1) / workers));
+  }
+}
+
+void Loop::DispatchBoundBatch(size_t take) {
+  take = std::min(take, pending_bounds_.size());
+  std::vector<PendingBound> batch(
+      std::make_move_iterator(pending_bounds_.begin()),
+      std::make_move_iterator(pending_bounds_.begin() + take));
+  pending_bounds_.erase(pending_bounds_.begin(),
+                        pending_bounds_.begin() + take);
   server_.transport().coalesced_batches.Increment();
   server_.transport().coalesced_requests.Increment(batch.size());
   server_.transport().max_batch.MaxWith(static_cast<int64_t>(batch.size()));
@@ -457,7 +538,7 @@ void Loop::DispatchBoundBatch() {
   for (const PendingBound& p : batch) {
     coalesce_wait_hist_->Observe(MicrosSince(p.enqueued));
   }
-  pool_.Submit([this, batch = std::move(batch)] {
+  SubmitToPool([this, batch = std::move(batch)] {
     // Pin once for the whole batch: every reply it scatters is computed
     // at exactly this epoch, and BoundBatch is bit-identical to solving
     // the requests one by one.
@@ -492,7 +573,6 @@ void Loop::DispatchBoundBatch() {
       }
       server_.transport().queue_depth.Sub(static_cast<int64_t>(done.size()));
       completions_->Push(std::move(done));
-      Wake();
       return;
     }
     for (const PendingBound& p : batch) {
@@ -500,8 +580,7 @@ void Loop::DispatchBoundBatch() {
     }
     server_.transport().queue_depth.Sub(static_cast<int64_t>(done.size()));
     completions_->Push(std::move(done));
-    Wake();
-  });
+  }, take);
 }
 
 void Loop::ApplyCompletions() {
@@ -577,17 +656,19 @@ void Loop::ProcessBuffered(Conn& conn) {
     DispatchLine(conn, line);
   }
   if (!conn.closing && !conn.discarding &&
-      conn.rbuf.size() > TcpListener::kMaxRequestLineBytes) {
-    // Same contract as the legacy session: one typed ERR, then the
-    // connection winds down (with a bounded discard of what the client
-    // keeps sending, so the ERR survives the teardown).
+      conn.rbuf.size() > EventLoopListener::kMaxRequestLineBytes) {
+    // A newline-less stream past the cap can only be abuse or a broken
+    // client: one typed ERR, then the connection winds down (with a
+    // bounded discard of what the client keeps sending, so the ERR
+    // survives the teardown).
     Slot& slot = NewSlot(conn);
     CompleteInline(
         conn, slot,
         "ERR INVALID_ARGUMENT request line exceeds " +
-            std::to_string(TcpListener::kMaxRequestLineBytes) + " bytes\n");
+            std::to_string(EventLoopListener::kMaxRequestLineBytes) +
+            " bytes\n");
     conn.discarding = true;
-    conn.discard_budget = 8 * TcpListener::kMaxRequestLineBytes;
+    conn.discard_budget = 8 * EventLoopListener::kMaxRequestLineBytes;
     conn.rbuf.clear();
     conn.rbuf.shrink_to_fit();
   }
@@ -607,7 +688,7 @@ void Loop::ReadReady(Conn& conn) {
       conn.eof = true;
       if (!conn.closing && !conn.discarding && !conn.rbuf.empty()) {
         // EOF with a residual un-terminated line still gets an answer —
-        // stdio/TCP/event-loop parity.
+        // exactly what ServeStream's getline path does on stdio.
         std::string line = std::move(conn.rbuf);
         conn.rbuf.clear();
         if (!line.empty() && line.back() == '\r') line.pop_back();
@@ -654,21 +735,12 @@ Status Loop::Run() {
       break;
     }
 
-    // The timeout is the nearest deadline: the coalescing window (sub-
-    // millisecond windows round up to 1 ms — epoll's granularity) or
-    // the accept re-arm after resource exhaustion.
+    // The only timer is the accept re-arm after resource exhaustion.
     int timeout_ms = -1;
-    const auto deadline_ms = [](SteadyClock::time_point at) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          at - SteadyClock::now());
-      return std::max<long long>(0, left.count() + 1);
-    };
-    if (batch_deadline_.has_value()) {
-      timeout_ms = static_cast<int>(deadline_ms(*batch_deadline_));
-    }
     if (accept_rearm_at_.has_value()) {
-      const int rearm = static_cast<int>(deadline_ms(*accept_rearm_at_));
-      timeout_ms = timeout_ms < 0 ? rearm : std::min(timeout_ms, rearm);
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          *accept_rearm_at_ - SteadyClock::now());
+      timeout_ms = static_cast<int>(std::max<long long>(0, left.count() + 1));
     }
 
     const int n = ::epoll_wait(epfd_, events, 256, timeout_ms);
@@ -700,11 +772,7 @@ Status Loop::Run() {
     }
     for (const uint64_t id : doomed_) DestroyConn(id);
     doomed_.clear();
-
-    if (batch_deadline_.has_value() &&
-        SteadyClock::now() >= *batch_deadline_) {
-      DispatchBoundBatch();
-    }
+    DispatchWhileWorkersFree();
     if (accept_rearm_at_.has_value() &&
         SteadyClock::now() >= *accept_rearm_at_) {
       accept_rearm_at_.reset();
@@ -718,11 +786,11 @@ Status Loop::Run() {
     }
   }
 
-  // Flush any batch still waiting on its window, then drain the pool so
-  // no worker touches `server_` after Serve returns. Replies that never
-  // made it out die with their connections (Shutdown semantics match
-  // the legacy transport's disconnect-in-flight-sessions).
-  DispatchBoundBatch();
+  // Dispatch any BOUNDs still waiting for a worker, then drain the pool
+  // so no worker touches `server_` after Serve returns. Replies that
+  // never made it out die with their connections: Shutdown disconnects
+  // every in-flight session.
+  while (!pending_bounds_.empty()) DispatchBoundBatch(kMaxBatch);
   pool_.Wait();
   for (auto& [id, conn] : conns_) {
     ::close(conn->fd);
@@ -817,6 +885,11 @@ EventLoopListener::~EventLoopListener() {
 
 void EventLoopListener::Shutdown() {
   if (stopping_ != nullptr) stopping_->store(true);
+  // Stop listening at once: a client connecting after Shutdown is
+  // refused (and can fail over) instead of waiting in a backlog nobody
+  // accepts from. The fd itself stays open until destruction, so a
+  // racing move cannot double-close it.
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
   if (wake_write_ >= 0) {
     const char byte = 1;
     ssize_t ignored = ::write(wake_write_, &byte, 1);
@@ -828,13 +901,6 @@ Status EventLoopListener::Serve(BoundServer& server, const Options& options) {
   if (fd_ < 0) return Status::FailedPrecondition("listener is closed");
   Loop loop(server, options, fd_, wake_read_, wake_write_, *stopping_);
   return loop.Run();
-}
-
-Status ServeEventLoop(BoundServer& server, uint16_t port,
-                      const EventLoopListener::Options& options) {
-  StatusOr<EventLoopListener> listener = EventLoopListener::Bind(port);
-  if (!listener.ok()) return listener.status();
-  return listener->Serve(server, options);
 }
 
 }  // namespace pcx
@@ -864,11 +930,6 @@ EventLoopListener::~EventLoopListener() = default;
 void EventLoopListener::Shutdown() {}
 Status EventLoopListener::Serve(BoundServer&, const Options&) {
   return Status::Unimplemented("EventLoopListener: Linux epoll only");
-}
-
-Status ServeEventLoop(BoundServer&, uint16_t,
-                      const EventLoopListener::Options&) {
-  return Status::Unimplemented("ServeEventLoop: Linux epoll only");
 }
 
 }  // namespace pcx

@@ -1,28 +1,15 @@
 #include "serve/server.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <istream>
 #include <optional>
 #include <ostream>
-#include <set>
 #include <sstream>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#ifndef _WIN32
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#endif
-
 #include "common/text.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "pc/serialization.h"
 
@@ -817,319 +804,5 @@ void BoundServer::ServeStream(std::istream& in, std::ostream& out) {
     if (!keep_going) return;
   }
 }
-
-#ifndef _WIN32
-
-bool IsTransientAcceptError(int error_code) {
-  switch (error_code) {
-    case ECONNABORTED:  // client gave up during the handshake
-    case EPROTO:        // protocol error on the nascent connection
-    case EINTR:
-    case EAGAIN:
-#if EAGAIN != EWOULDBLOCK
-    case EWOULDBLOCK:
-#endif
-    case EMFILE:   // fd exhaustion: per-process...
-    case ENFILE:   // ...or system-wide — sessions ending will free fds
-    case ENOBUFS:
-    case ENOMEM:
-      return true;
-    default:
-      return false;  // EBADF, EINVAL, ENOTSOCK, EFAULT...: listener broken
-  }
-}
-
-/// Live session sockets of one listener. Shutdown() disconnects them
-/// so session workers blocked in read() wake up (EOF) and the drain in
-/// Serve completes; a session that starts after Shutdown (accept race)
-/// is disconnected at registration. Deregistration happens BEFORE the
-/// session closes its fd, so DisconnectAll can never touch a recycled
-/// descriptor number.
-struct TcpSessionRegistry {
-  Mutex mu;
-  std::set<int> fds GUARDED_BY(mu);
-  bool stopping GUARDED_BY(mu) = false;
-
-  void Register(int fd) {
-    MutexLock lock(mu);
-    fds.insert(fd);
-    if (stopping) ::shutdown(fd, SHUT_RDWR);
-  }
-  void Deregister(int fd) {
-    MutexLock lock(mu);
-    fds.erase(fd);
-  }
-  void DisconnectAll() {
-    MutexLock lock(mu);
-    stopping = true;
-    for (const int fd : fds) ::shutdown(fd, SHUT_RDWR);
-  }
-};
-
-StatusOr<TcpListener> TcpListener::Bind(uint16_t port, int backlog) {
-  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listener < 0) return Status::Internal("socket() failed");
-  const int enable = 1;
-  ::setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    ::close(listener);
-    return Status::InvalidArgument("bind() failed on port " +
-                                   std::to_string(port));
-  }
-  if (::listen(listener, backlog) < 0) {
-    ::close(listener);
-    return Status::Internal("listen() failed");
-  }
-  // With port 0 the kernel picked an ephemeral port; read it back so
-  // the caller can announce it.
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(listener, reinterpret_cast<sockaddr*>(&bound), &len) <
-      0) {
-    ::close(listener);
-    return Status::Internal("getsockname() failed");
-  }
-  return TcpListener(listener, ntohs(bound.sin_port));
-}
-
-TcpListener::TcpListener(int fd, uint16_t port)
-    : fd_(fd),
-      port_(port),
-      stopping_(std::make_shared<std::atomic<bool>>(false)),
-      sessions_(std::make_shared<TcpSessionRegistry>()) {}
-
-TcpListener::TcpListener(TcpListener&& other) noexcept
-    : fd_(other.fd_),
-      port_(other.port_),
-      stopping_(other.stopping_),
-      sessions_(other.sessions_) {
-  other.fd_ = -1;
-}
-
-TcpListener& TcpListener::operator=(TcpListener&& other) noexcept {
-  if (this != &other) {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = other.fd_;
-    port_ = other.port_;
-    stopping_ = other.stopping_;
-    sessions_ = other.sessions_;
-    other.fd_ = -1;
-  }
-  return *this;
-}
-
-TcpListener::~TcpListener() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-void TcpListener::Shutdown() {
-  if (stopping_ != nullptr) stopping_->store(true);
-  // Kicks a blocked accept() out with an error; the loop sees the flag
-  // and exits gracefully. The fd itself stays open (the destructor owns
-  // closing it), so a racing move cannot double-close.
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-  // In-flight sessions would otherwise block the drain for as long as
-  // an idle client holds its connection open: disconnect their sockets
-  // too, so blocked reads see EOF and the sessions wind down.
-  if (sessions_ != nullptr) sessions_->DisconnectAll();
-}
-
-namespace {
-
-/// A transient accept() error that repeats this many times in a row
-/// with no successful accept in between is no longer transient — the
-/// retry loop must not spin forever on a wedged listener. Resource-
-/// exhaustion errors back off kResourceBackoff per retry, so the cap
-/// tolerates ~10 s of sustained fd pressure (long enough for busy
-/// sessions to finish and free their fds) before giving up.
-constexpr size_t kMaxConsecutiveAcceptFailures = 200;
-constexpr std::chrono::milliseconds kResourceBackoff{50};
-
-/// Writes the whole reply; false when the client went away. MSG_NOSIGNAL
-/// keeps a disconnect from raising SIGPIPE and killing the server — a
-/// dropped client must cost exactly its own session.
-bool WriteAll(int client, const std::string& text) {
-  size_t written = 0;
-  while (written < text.size()) {
-    const ssize_t w = ::send(client, text.data() + written,
-                             text.size() - written, MSG_NOSIGNAL);
-    if (w <= 0) {
-      if (w < 0 && errno == EINTR) continue;
-      return false;
-    }
-    written += static_cast<size_t>(w);
-  }
-  return true;
-}
-
-/// One client session: line-at-a-time request/reply until QUIT or
-/// disconnect. Runs on a session worker; `server` is shared with every
-/// other session (HandleLine is thread-safe) while the socket is owned
-/// by this session alone, so replies cannot interleave.
-void ServeClient(BoundServer& server, int client,
-                 TcpSessionRegistry* registry) {
-  if (registry != nullptr) registry->Register(client);
-  server.NoteSessionStart();
-  BoundServer::Session session;
-  std::string buffer;
-  char chunk[4096];
-  bool open = true;
-  while (open) {
-    const ssize_t n = ::read(client, chunk, sizeof(chunk));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;  // client closed (or error): end the session
-    buffer.append(chunk, static_cast<size_t>(n));
-    size_t at;
-    while (open && (at = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, at);
-      buffer.erase(0, at + 1);
-      StripTrailingCr(line);
-      std::ostringstream reply;
-      open = server.HandleLine(line, reply, &session);
-      if (!WriteAll(client, reply.str())) open = false;
-    }
-    if (open && buffer.size() > TcpListener::kMaxRequestLineBytes) {
-      // A newline-less stream past the cap can only be abuse or a
-      // broken client; one session must not grow the shared server's
-      // memory without bound. Answer once, typed, and hang up.
-      WriteAll(client,
-               "ERR INVALID_ARGUMENT request line exceeds " +
-                   std::to_string(TcpListener::kMaxRequestLineBytes) +
-                   " bytes\n");
-      ::shutdown(client, SHUT_WR);  // FIN right after the reply
-      // Drain what the client has already sent: close() with unread
-      // bytes queued turns the teardown into an RST that can destroy
-      // the ERR before the client reads it. Bounded, so an endless
-      // stream cannot pin the session either.
-      size_t drained = 0;
-      while (drained < 8 * TcpListener::kMaxRequestLineBytes) {
-        const ssize_t n = ::read(client, chunk, sizeof(chunk));
-        if (n < 0 && errno == EINTR) continue;
-        if (n <= 0) break;
-        drained += static_cast<size_t>(n);
-      }
-      open = false;
-    }
-  }
-  if (open && !buffer.empty()) {
-    // EOF with a residual un-terminated line: a client that wrote its
-    // last command without a trailing '\n' and closed still deserves an
-    // answer — exactly what ServeStream's getline path does on stdio.
-    StripTrailingCr(buffer);
-    std::ostringstream reply;
-    server.HandleLine(buffer, reply, &session);
-    WriteAll(client, reply.str());
-  }
-  if (registry != nullptr) registry->Deregister(client);
-  ::close(client);
-}
-
-}  // namespace
-
-Status TcpListener::Serve(BoundServer& server, const ServeOptions& options) {
-  if (fd_ < 0) return Status::FailedPrecondition("listener is closed");
-  const size_t workers =
-      options.session_threads == 0 ? 1 : options.session_threads;
-  // The pool is the drain point: its destructor (and Wait) runs every
-  // dispatched session to completion, which is what makes Shutdown and
-  // max_clients graceful instead of abandoning sockets mid-reply.
-  std::optional<ThreadPool> pool;
-  if (workers > 1) pool.emplace(workers);
-
-  Status result = Status::OK();
-  size_t served = 0;
-  size_t consecutive_failures = 0;
-  while (options.max_clients == 0 || served < options.max_clients) {
-    const int client = ::accept(fd_, nullptr, nullptr);
-    if (stopping_->load()) {
-      if (client >= 0) ::close(client);  // raced with Shutdown: turn away
-      break;
-    }
-    if (client < 0) {
-      const int error_code = errno;
-      if (error_code == EINTR) continue;
-      if (IsTransientAcceptError(error_code) &&
-          ++consecutive_failures < kMaxConsecutiveAcceptFailures) {
-        // Resource exhaustion heals when a session closes its fd; back
-        // off instead of spinning on the error.
-        if (error_code == EMFILE || error_code == ENFILE ||
-            error_code == ENOBUFS || error_code == ENOMEM) {
-          std::this_thread::sleep_for(kResourceBackoff);
-        }
-        continue;
-      }
-      result = Status::Internal(std::string("accept() failed: ") +
-                                std::strerror(error_code));
-      // Tearing down on an error: disconnect in-flight sessions like
-      // Shutdown does, or the drain below could wait forever on an
-      // idle client and the error would never surface.
-      sessions_->DisconnectAll();
-      break;
-    }
-    consecutive_failures = 0;
-    ++served;
-    if (pool.has_value()) {
-      // The worker keeps the registry alive even across a move of the
-      // listener object itself.
-      pool->Submit([&server, client, registry = sessions_] {
-        ServeClient(server, client, registry.get());
-      });
-    } else {
-      ServeClient(server, client, sessions_.get());
-    }
-  }
-  if (pool.has_value()) pool->Wait();  // drain in-flight sessions
-  return result;
-}
-
-Status TcpListener::Serve(BoundServer& server, size_t max_clients) {
-  ServeOptions options;
-  options.max_clients = max_clients;
-  return Serve(server, options);
-}
-
-Status ServeTcp(BoundServer& server, uint16_t port, size_t max_clients) {
-  PCX_ASSIGN_OR_RETURN(TcpListener listener, TcpListener::Bind(port));
-  return listener.Serve(server, max_clients);
-}
-
-#else  // _WIN32
-
-bool IsTransientAcceptError(int) { return false; }
-
-StatusOr<TcpListener> TcpListener::Bind(uint16_t, int) {
-  return Status::Unimplemented("TcpListener: POSIX sockets only");
-}
-TcpListener::TcpListener(int fd, uint16_t port) : fd_(fd), port_(port) {}
-TcpListener::TcpListener(TcpListener&& other) noexcept
-    : fd_(other.fd_), port_(other.port_) {
-  other.fd_ = -1;
-}
-TcpListener& TcpListener::operator=(TcpListener&& other) noexcept {
-  fd_ = other.fd_;
-  port_ = other.port_;
-  other.fd_ = -1;
-  return *this;
-}
-TcpListener::~TcpListener() = default;
-void TcpListener::Shutdown() {}
-Status TcpListener::Serve(BoundServer&, const ServeOptions&) {
-  return Status::Unimplemented("TcpListener: POSIX sockets only");
-}
-Status TcpListener::Serve(BoundServer&, size_t) {
-  return Status::Unimplemented("TcpListener: POSIX sockets only");
-}
-
-Status ServeTcp(BoundServer&, uint16_t, size_t) {
-  return Status::Unimplemented("ServeTcp: POSIX sockets only");
-}
-
-#endif
 
 }  // namespace pcx

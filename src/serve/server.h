@@ -76,8 +76,8 @@ class BoundServer {
   };
 
   /// Per-connection protocol state, owned by the transport (one per
-  /// stdio stream / TCP session / event-loop connection) and threaded
-  /// into HandleLine. Atomics: the event loop toggles on the loop
+  /// stdio stream / event-loop connection) and threaded into
+  /// HandleLine. Atomics: the event loop toggles on the loop
   /// thread while pool workers read.
   struct Session {
     /// TRACE ON|OFF: append a `#trace ...` comment after each reply.
@@ -86,11 +86,10 @@ class BoundServer {
 
   /// Event-transport serving counters — registry-backed references, so
   /// STATS, HEALTH, and METRICS all read the same series and counter
-  /// names cannot drift between transports. The epoll loop
-  /// (serve/event_loop.h) maintains them; under the thread-per-session
-  /// transport they stay zero. All metric types are atomic inside: the
-  /// loop thread and its solver-pool workers update them while any
-  /// session reads them.
+  /// names cannot drift. The epoll loop (serve/event_loop.h) maintains
+  /// them; stdio serving leaves them zero. All metric types are atomic
+  /// inside: the loop thread and its solver-pool workers update them
+  /// while any session reads them.
   struct TransportStats {
     explicit TransportStats(MetricsRegistry& metrics);
     /// Requests admitted to the solver queue and not yet answered.
@@ -192,8 +191,8 @@ class BoundServer {
   uint64_t sessions() const { return sessions_.load(); }
   uint64_t requests() const { return requests_.load(); }
 
-  /// Called once by each serving front end (stream or TCP session) when
-  /// a session opens; feeds the HEALTH sessions counter.
+  /// Called once by each serving front end (stdio stream or event-loop
+  /// connection) when a session opens; feeds the HEALTH sessions counter.
   void NoteSessionStart() { ++sessions_; }
 
   /// Counts one request of the given (already upper-cased) verb —
@@ -370,102 +369,6 @@ StatusOr<GroupByRequest> ParseGroupByRequest(
 /// so a client parses back bit-identical ranges).
 void PrintResultRange(std::ostream& out, const char* label,
                       const ResultRange& range);
-
-/// True when an accept() failure with this errno is transient — one bad
-/// or unlucky client (ECONNABORTED, EPROTO), or momentary resource
-/// exhaustion (EMFILE/ENFILE/ENOBUFS/ENOMEM) — and the accept loop
-/// should keep serving everyone else. Persistent failures (EBADF,
-/// EINVAL, ENOTSOCK...) mean the listener itself is broken.
-bool IsTransientAcceptError(int error_code);
-
-/// A listening localhost TCP socket serving the line protocol. Binding
-/// and serving are separate so a port-0 (kernel-assigned ephemeral)
-/// listener can report the actual port before the accept loop starts —
-/// tests and CI need no fixed-port reservations:
-///
-///   PCX_ASSIGN_OR_RETURN(TcpListener listener, TcpListener::Bind(0));
-///   std::printf("PORT %u\n", listener.port());
-///   return listener.Serve(server);
-///
-/// Serve dispatches each accepted socket to a session worker (a
-/// common/thread_pool of `session_threads` workers), every session
-/// sharing the same BoundServer (same loaded snapshot, cumulative
-/// STATS). Replies cannot interleave because each session owns its
-/// socket end to end. Client disconnects — including mid-reply drops,
-/// which must not raise SIGPIPE and kill the process — only end that
-/// session; transient accept() failures (one aborted handshake, a
-/// momentary fd shortage) are retried instead of taking the listener
-/// down. A request line is capped at kMaxRequestLineBytes — a client
-/// streaming an endless newline-less request gets one ERR and its
-/// session closed instead of growing the server's memory. Shutdown()
-/// stops the accept loop from another thread AND disconnects in-flight
-/// session sockets (their reads see EOF), so Serve's drain completes
-/// promptly even when clients hold idle connections open.
-struct TcpSessionRegistry;
-class TcpListener {
- public:
-  /// listen(2) backlog used when Bind is not given one: deep enough
-  /// that a fan-in burst of clients queues instead of getting
-  /// connection-refused while session workers are busy.
-  static constexpr int kDefaultBacklog = 128;
-
-  /// Upper bound on one request line (bytes before the '\n'). Far
-  /// beyond any legitimate BOUND/GROUPBY line, small enough that an
-  /// adversarial newline-less stream cannot balloon a session buffer.
-  static constexpr size_t kMaxRequestLineBytes = 1 << 20;
-
-  struct ServeOptions {
-    /// Accept loop ends after this many sessions (0 = serve forever).
-    size_t max_clients = 0;
-    /// Concurrent session workers. 1 = sequential (a new client waits
-    /// for the previous session to end); N>1 serves N clients at once,
-    /// further accepted sockets queue for the next free worker.
-    size_t session_threads = 1;
-  };
-
-  /// Binds and listens on 127.0.0.1:`port` (0 = ephemeral).
-  static StatusOr<TcpListener> Bind(uint16_t port,
-                                    int backlog = kDefaultBacklog);
-
-  TcpListener(TcpListener&& other) noexcept;
-  TcpListener& operator=(TcpListener&& other) noexcept;
-  TcpListener(const TcpListener&) = delete;
-  TcpListener& operator=(const TcpListener&) = delete;
-  ~TcpListener();
-
-  /// The actual bound port (the kernel's pick when Bind got 0).
-  uint16_t port() const { return port_; }
-
-  /// Runs the accept loop; returns OK after `options.max_clients`
-  /// sessions, or after Shutdown(), in both cases only once every
-  /// dispatched session has finished.
-  Status Serve(BoundServer& server, const ServeOptions& options);
-  /// Sequential-serving convenience (session_threads = 1).
-  Status Serve(BoundServer& server, size_t max_clients = 0);
-
-  /// Gracefully stops a Serve running on another thread: no new
-  /// sessions are accepted, in-flight session sockets are shut down
-  /// (their blocked reads return EOF and the sessions end), the drain
-  /// completes, Serve returns OK. Safe to call from any thread, any
-  /// number of times.
-  void Shutdown();
-
- private:
-  TcpListener(int fd, uint16_t port);
-  int fd_ = -1;
-  uint16_t port_ = 0;
-  /// Heap-allocated so Shutdown() stays valid across moves (the flag
-  /// travels with the listener; atomics themselves are immovable).
-  std::shared_ptr<std::atomic<bool>> stopping_;
-  /// Live session sockets, so Shutdown can disconnect them; shared
-  /// with the session workers (which may outlive a moved-from
-  /// listener object).
-  std::shared_ptr<TcpSessionRegistry> sessions_;
-};
-
-/// One-call convenience: Bind(port) + Serve. With port 0 the chosen
-/// port is only observable through the two-step TcpListener path.
-Status ServeTcp(BoundServer& server, uint16_t port, size_t max_clients = 0);
 
 }  // namespace pcx
 

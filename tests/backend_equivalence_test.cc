@@ -19,6 +19,7 @@
 #include "pc/bound_solver.h"
 #include "pc/group_by.h"
 #include "pc/serialization.h"
+#include "serve/event_loop.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
 
@@ -165,12 +166,14 @@ class BackendEquivalenceTest : public testing::TestWithParam<BackendKind> {
       const std::string snap = WriteSnapshotFile(
           pcs, 2, /*epoch=*/0, "equiv_" + tag + "_remote.pcxsnap");
       PCX_CHECK(server_.LoadSnapshotFile(snap).ok());
-      StatusOr<TcpListener> listener = TcpListener::Bind(0);
+      StatusOr<EventLoopListener> listener = EventLoopListener::Bind(0);
       PCX_CHECK(listener.ok()) << listener.status();
       uri = "tcp:127.0.0.1:" + std::to_string(listener->port());
       server_thread_ =
           std::thread([this, l = std::move(listener).value()]() mutable {
-            const Status serve_status = l.Serve(server_, 1);
+            EventLoopListener::Options options;
+            options.max_clients = 1;
+            const Status serve_status = l.Serve(server_, options);
             PCX_CHECK(serve_status.ok()) << serve_status;
           });
     } else if (kind.mirror) {

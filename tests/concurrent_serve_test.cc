@@ -1,6 +1,7 @@
-// Concurrent-serving tests: session workers, atomic snapshot swap with
-// per-request epoch pinning, graceful shutdown, accept-loop resilience,
-// and stdio/TCP parity of the session loop. The centerpiece asserts the
+// Concurrent-serving tests over the event-loop TCP transport: many
+// simultaneous sessions, atomic snapshot swap with per-request epoch
+// pinning, graceful shutdown, accept-loop resilience, and stdio/TCP
+// parity of the session loop. The centerpiece asserts the
 // serving layer's contract under fan-in: N parallel TCP clients issuing
 // mixed BOUND/GROUPBY/STATS while LOAD swaps epochs mid-stream, every
 // reply bit-identical to an unsharded local-backend reference at ONE of
@@ -76,45 +77,29 @@ std::string WriteEpochSnapshot(uint64_t epoch, const std::string& tag) {
   return path;
 }
 
-/// Which serving transport carries the session: the thread-per-session
-/// TcpListener or the epoll event loop. The serving contract (typed
-/// replies, epoch pinning, oversize/EOF handling) is transport-
-/// independent, so the parity tests below run under both.
-enum class Transport { kThreads, kEventLoop };
+/// The parity suite's one instance runs on the event loop, the only TCP
+/// transport; the enum names the instance (`AllTransports/.../EventLoop`).
+enum class Transport { kEventLoop };
 
-std::string TransportName(const testing::TestParamInfo<Transport>& info) {
-  return info.param == Transport::kThreads ? "Threads" : "EventLoop";
+std::string TransportName(const testing::TestParamInfo<Transport>&) {
+  return "EventLoop";
 }
 
-/// An in-process concurrent pcx_serve: ephemeral port, `session_threads`
-/// workers (solver-pool workers under the event loop), Shutdown-able
-/// from the test thread.
+/// An in-process concurrent pcx_serve: ephemeral port, `solver_threads`
+/// pool workers, Shutdown-able from the test thread.
 class ConcurrentTestServer {
  public:
-  ConcurrentTestServer(size_t session_threads, size_t max_clients,
-                       const std::string& snapshot = "",
-                       Transport transport = Transport::kThreads) {
+  ConcurrentTestServer(size_t solver_threads, size_t max_clients,
+                       const std::string& snapshot = "") {
     if (!snapshot.empty()) {
       PCX_CHECK(server_.LoadSnapshotFile(snapshot).ok());
     }
-    if (transport == Transport::kEventLoop) {
-      StatusOr<EventLoopListener> listener = EventLoopListener::Bind(0);
-      PCX_CHECK(listener.ok()) << listener.status();
-      event_listener_.emplace(std::move(listener).value());
-      EventLoopListener::Options options;
-      options.max_clients = max_clients;
-      options.solver_threads = session_threads;
-      thread_ = std::thread([this, options] {
-        serve_status_ = event_listener_->Serve(server_, options);
-      });
-      return;
-    }
-    StatusOr<TcpListener> listener = TcpListener::Bind(0);
+    StatusOr<EventLoopListener> listener = EventLoopListener::Bind(0);
     PCX_CHECK(listener.ok()) << listener.status();
     listener_.emplace(std::move(listener).value());
-    TcpListener::ServeOptions options;
+    EventLoopListener::Options options;
     options.max_clients = max_clients;
-    options.session_threads = session_threads;
+    options.solver_threads = solver_threads;
     thread_ = std::thread([this, options] {
       serve_status_ = listener_->Serve(server_, options);
     });
@@ -124,29 +109,22 @@ class ConcurrentTestServer {
     Join();
   }
 
-  void Shutdown() {
-    if (event_listener_.has_value()) event_listener_->Shutdown();
-    if (listener_.has_value()) listener_->Shutdown();
-  }
+  void Shutdown() { listener_->Shutdown(); }
   void Join() {
     if (thread_.joinable()) thread_.join();
   }
-  uint16_t port() const {
-    return event_listener_.has_value() ? event_listener_->port()
-                                       : listener_->port();
-  }
+  uint16_t port() const { return listener_->port(); }
   BoundServer& server() { return server_; }
   const Status& serve_status() const { return serve_status_; }
 
  private:
   BoundServer server_;
-  std::optional<TcpListener> listener_;
-  std::optional<EventLoopListener> event_listener_;
+  std::optional<EventLoopListener> listener_;
   Status serve_status_;
   std::thread thread_;
 };
 
-#ifndef _WIN32
+#ifdef __linux__  // TCP serving is epoll-based
 
 TEST(AcceptErrorTest, TransientsAreRetriedFatalsAreNot) {
   // One bad client (aborted handshake) or a momentary resource squeeze
@@ -188,14 +166,14 @@ std::string ReadUntilEof(int fd) {
   return out;
 }
 
-/// Parity suite: every test runs against both transports and asserts
-/// transport-independent behavior.
+/// Parity suite: the serving contract (typed replies, epoch pinning,
+/// oversize/EOF handling) the TCP transport shares with stdio serving.
 class TransportServeTest : public testing::TestWithParam<Transport> {};
 
 TEST_P(TransportServeTest, TcpAnswersFinalCommandWithoutTrailingNewline) {
   const std::string snapshot = WriteEpochSnapshot(1, "eof");
-  ConcurrentTestServer server(/*session_threads=*/1, /*max_clients=*/1,
-                              snapshot, GetParam());
+  ConcurrentTestServer server(/*solver_threads=*/1, /*max_clients=*/1,
+                              snapshot);
 
   // The last (only) command arrives with no '\n' before EOF. The
   // session loop must flush the residual buffer as a line — exactly
@@ -215,12 +193,11 @@ TEST_P(TransportServeTest, TcpAnswersFinalCommandWithoutTrailingNewline) {
 
 TEST(ConcurrentServeTest, TwoSimultaneousClientsGetUninterleavedReplies) {
   const std::string snapshot = WriteEpochSnapshot(1, "pair");
-  ConcurrentTestServer server(/*session_threads=*/2, /*max_clients=*/2,
+  ConcurrentTestServer server(/*solver_threads=*/2, /*max_clients=*/2,
                               snapshot);
 
-  // Both sessions are open at the same time — under the old sequential
-  // accept loop the second Connect would hang until the first client
-  // disconnected.
+  // Both sessions are open at the same time: the second Connect must
+  // not wait for the first client to disconnect.
   auto a = RemoteBackend::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(a.ok()) << a.status();
   auto b = RemoteBackend::Connect("127.0.0.1", server.port());
@@ -268,9 +245,9 @@ TEST(ConcurrentServeTest, TwoSimultaneousClientsGetUninterleavedReplies) {
 TEST(ConcurrentServeTest, BurstOfClientsAllServedThroughTheBacklog) {
   const std::string snapshot = WriteEpochSnapshot(1, "burst");
   constexpr size_t kClients = 8;
-  // Two workers, eight simultaneous connects: six sockets must wait in
-  // the listen backlog / worker queue instead of being refused.
-  ConcurrentTestServer server(/*session_threads=*/2,
+  // Two workers, eight simultaneous connects: every socket must be
+  // served, none refused.
+  ConcurrentTestServer server(/*solver_threads=*/2,
                               /*max_clients=*/kClients, snapshot);
 
   std::atomic<size_t> ok_count{0};
@@ -295,7 +272,7 @@ TEST(ConcurrentServeTest, BurstOfClientsAllServedThroughTheBacklog) {
 TEST(ConcurrentServeTest, ShutdownDrainsAndServeReturnsOk) {
   const std::string snapshot = WriteEpochSnapshot(1, "shutdown");
   // Serve-forever server: only Shutdown can end it.
-  ConcurrentTestServer server(/*session_threads=*/2, /*max_clients=*/0,
+  ConcurrentTestServer server(/*solver_threads=*/2, /*max_clients=*/0,
                               snapshot);
 
   {
@@ -311,12 +288,12 @@ TEST(ConcurrentServeTest, ShutdownDrainsAndServeReturnsOk) {
 
 TEST(ConcurrentServeTest, ShutdownDisconnectsIdleInFlightSessions) {
   const std::string snapshot = WriteEpochSnapshot(1, "idle");
-  ConcurrentTestServer server(/*session_threads=*/2, /*max_clients=*/0,
+  ConcurrentTestServer server(/*solver_threads=*/2, /*max_clients=*/0,
                               snapshot);
 
   // The client queries once and then just sits on the open connection.
-  // Shutdown must still drain: the session's blocked read is woken
-  // with EOF instead of holding Serve hostage forever.
+  // Shutdown must still drain: the idle connection is closed instead of
+  // holding Serve hostage forever.
   auto backend = RemoteBackend::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(backend.ok()) << backend.status();
   ASSERT_TRUE((*backend)->Bound(AggQuery::Count()).ok());
@@ -333,8 +310,8 @@ TEST(ConcurrentServeTest, ShutdownDisconnectsIdleInFlightSessions) {
 
 TEST_P(TransportServeTest, OversizedRequestLineIsRefusedNotBuffered) {
   const std::string snapshot = WriteEpochSnapshot(1, "oversize");
-  ConcurrentTestServer server(/*session_threads=*/1, /*max_clients=*/1,
-                              snapshot, GetParam());
+  ConcurrentTestServer server(/*solver_threads=*/1, /*max_clients=*/1,
+                              snapshot);
 
   // A newline-less stream past the line cap: the session must answer
   // one typed ERR and hang up instead of buffering without bound. The
@@ -342,7 +319,8 @@ TEST_P(TransportServeTest, OversizedRequestLineIsRefusedNotBuffered) {
   // without it, closing with unread bytes queued would RST the ERR
   // reply out of the client's receive buffer.
   const int fd = RawConnect(server.port());
-  const std::string blob(TcpListener::kMaxRequestLineBytes + 65536, 'x');
+  const std::string blob(EventLoopListener::kMaxRequestLineBytes + 65536,
+                         'x');
   size_t sent = 0;
   while (sent < blob.size()) {
     const ssize_t w = ::send(fd, blob.data() + sent, blob.size() - sent,
@@ -402,10 +380,10 @@ TEST_P(TransportServeTest, MixedWorkloadAcrossEpochSwapsIsNeverTorn) {
 
   constexpr size_t kClients = 3;
   constexpr size_t kIterations = 30;
-  // Workers cover every concurrently-open session: kClients query
-  // streams plus the LOAD-swapping control session.
-  ConcurrentTestServer server(/*session_threads=*/kClients + 1,
-                              /*max_clients=*/0, v1, GetParam());
+  // One worker per concurrently-open session: kClients query streams
+  // plus the LOAD-swapping control session.
+  ConcurrentTestServer server(/*solver_threads=*/kClients + 1,
+                              /*max_clients=*/0, v1);
 
   std::atomic<size_t> failures{0};
   std::vector<std::thread> clients;
@@ -467,11 +445,10 @@ TEST_P(TransportServeTest, MixedWorkloadAcrossEpochSwapsIsNeverTorn) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTransports, TransportServeTest,
-                         testing::Values(Transport::kThreads,
-                                         Transport::kEventLoop),
+                         testing::Values(Transport::kEventLoop),
                          TransportName);
 
-#endif  // !_WIN32
+#endif  // __linux__
 
 }  // namespace
 }  // namespace pcx

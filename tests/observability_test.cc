@@ -322,7 +322,7 @@ std::vector<std::string> RecvAllLines(int fd) {
   return lines;
 }
 
-/// The mixed workload both transport tests run: every verb class, an
+/// The mixed workload the transport test runs: every verb class, an
 /// unknown command (the OTHER bucket), and a QUIT.
 constexpr const char* kMixedWorkload =
     "BOUND COUNT 0\n"
@@ -334,36 +334,6 @@ constexpr const char* kMixedWorkload =
     "METRICS\n"
     "QUIT\n";
 
-TEST(ReconciliationTest, ThreadTransportCountsEveryVerbOnce) {
-  BoundServer server;
-  ASSERT_TRUE(server.LoadSnapshotFile(WriteTestSnapshot("recon_tcp")).ok());
-  StatusOr<TcpListener> listener = TcpListener::Bind(0);
-  ASSERT_TRUE(listener.ok()) << listener.status();
-  const uint16_t port = listener->port();
-  std::thread serve([&] {
-    TcpListener::ServeOptions options;
-    options.max_clients = 1;
-    (void)listener->Serve(server, options);
-  });
-  const int fd = RawConnect(port);
-  SendAll(fd, kMixedWorkload);
-  const std::vector<std::string> lines = RecvAllLines(fd);
-  ::close(fd);
-  serve.join();
-  EXPECT_FALSE(lines.empty());
-  EXPECT_EQ(lines.back(), "BYE");
-
-  ExpectVerbReconciliation(server);
-  const std::string text = server.metrics().Exposition();
-  EXPECT_EQ(SampleValue(text, "pcx_requests_verb_total{verb=\"BOUND\"}"),
-            2.0);
-  EXPECT_EQ(SampleValue(text, "pcx_requests_verb_total{verb=\"OTHER\"}"),
-            1.0);
-  EXPECT_EQ(SampleValue(text, "pcx_requests_verb_total{verb=\"QUIT\"}"),
-            1.0);
-  EXPECT_EQ(SampleValue(text, "pcx_requests_total"), 8.0);
-}
-
 TEST(ReconciliationTest, EventLoopTransportCountsEveryVerbOnce) {
   BoundServer server;
   ASSERT_TRUE(server.LoadSnapshotFile(WriteTestSnapshot("recon_ev")).ok());
@@ -373,7 +343,6 @@ TEST(ReconciliationTest, EventLoopTransportCountsEveryVerbOnce) {
   std::thread serve([&] {
     EventLoopListener::Options options;
     options.max_clients = 1;
-    options.coalesce_us = 100;  // exercise the coalesced BOUND path
     (void)listener->Serve(server, options);
   });
   const int fd = RawConnect(port);
@@ -391,6 +360,8 @@ TEST(ReconciliationTest, EventLoopTransportCountsEveryVerbOnce) {
   EXPECT_EQ(SampleValue(text, "pcx_requests_verb_total{verb=\"BOUND\"}"),
             2.0);
   EXPECT_EQ(SampleValue(text, "pcx_requests_verb_total{verb=\"OTHER\"}"),
+            1.0);
+  EXPECT_EQ(SampleValue(text, "pcx_requests_verb_total{verb=\"QUIT\"}"),
             1.0);
   EXPECT_EQ(SampleValue(text, "pcx_requests_total"), 8.0);
   // Coalesced BOUNDs still feed the per-verb latency histogram.

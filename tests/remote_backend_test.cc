@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "pc/serialization.h"
+#include "serve/event_loop.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
 
@@ -47,20 +48,22 @@ std::string WriteSensorSnapshot(uint64_t epoch) {
   return path;
 }
 
-/// An in-process pcx_serve: ephemeral port, `max_clients` sequential
-/// sessions on a background thread.
+/// An in-process pcx_serve: ephemeral port, serving until `max_clients`
+/// sessions have ended, on a background thread.
 class TestServer {
  public:
   explicit TestServer(size_t max_clients, const std::string& snapshot = "") {
     if (!snapshot.empty()) {
       PCX_CHECK(server_.LoadSnapshotFile(snapshot).ok());
     }
-    StatusOr<TcpListener> listener = TcpListener::Bind(0);
+    StatusOr<EventLoopListener> listener = EventLoopListener::Bind(0);
     PCX_CHECK(listener.ok()) << listener.status();
     port_ = listener->port();
+    EventLoopListener::Options options;
+    options.max_clients = max_clients;
     thread_ = std::thread(
-        [this, max_clients, l = std::move(listener).value()]() mutable {
-          serve_status_ = l.Serve(server_, max_clients);
+        [this, options, l = std::move(listener).value()]() mutable {
+          serve_status_ = l.Serve(server_, options);
         });
   }
   ~TestServer() { Join(); }
@@ -78,9 +81,9 @@ class TestServer {
   std::thread thread_;
 };
 
-TEST(TcpListenerTest, EphemeralBindReportsDistinctPorts) {
-  StatusOr<TcpListener> a = TcpListener::Bind(0);
-  StatusOr<TcpListener> b = TcpListener::Bind(0);
+TEST(EventLoopListenerTest, EphemeralBindReportsDistinctPorts) {
+  StatusOr<EventLoopListener> a = EventLoopListener::Bind(0);
+  StatusOr<EventLoopListener> b = EventLoopListener::Bind(0);
   ASSERT_TRUE(a.ok()) << a.status();
   ASSERT_TRUE(b.ok()) << b.status();
   EXPECT_GT(a->port(), 0);

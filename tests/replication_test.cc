@@ -23,6 +23,7 @@
 #include "engine/failover_backend.h"
 #include "pc/serialization.h"
 #include "serve/delta_log.h"
+#include "serve/event_loop.h"
 #include "serve/partitioner.h"
 #include "serve/server.h"
 #include "serve/sharded_solver.h"
@@ -287,7 +288,7 @@ TEST(SyncTest, ReadOnlyReplicaRejectsMutations) {
   EXPECT_EQ(Reply(server, "BOUND COUNT 0").rfind("RANGE ", 0), 0u);
 }
 
-#ifndef _WIN32
+#ifdef __linux__  // TCP serving is epoll-based
 
 TEST(ReplicaTailerTest, TailsLivePrimaryToConvergence) {
   Rng rng(21);
@@ -296,11 +297,11 @@ TEST(ReplicaTailerTest, TailsLivePrimaryToConvergence) {
       WriteTempSnapshot(RandomSet(rng, 8), 1, "tailer");
   ASSERT_EQ(Reply(primary_server, "LOAD " + path).rfind("OK ", 0), 0u);
 
-  StatusOr<TcpListener> listener = TcpListener::Bind(0);
+  StatusOr<EventLoopListener> listener = EventLoopListener::Bind(0);
   ASSERT_TRUE(listener.ok()) << listener.status();
   const uint16_t port = listener->port();
   std::thread serve_thread(
-      [&] { (void)listener->Serve(primary_server, {}); });
+      [&] { (void)listener->Serve(primary_server); });
 
   BoundServer replica;
   replica.set_read_only(true);
@@ -345,7 +346,7 @@ TEST(ReplicaTailerTest, TailsLivePrimaryToConvergence) {
   serve_thread.join();
 }
 
-#endif  // !_WIN32
+#endif  // __linux__
 
 /// A scriptable in-process backend for failover unit tests: canned
 /// range, settable epoch, and a kill switch that turns every call into
@@ -497,7 +498,7 @@ TEST(FailoverUriTest, ValidatesCandidates) {
             StatusCode::kInvalidArgument);
 }
 
-#ifndef _WIN32
+#ifdef __linux__  // TCP serving is epoll-based
 
 TEST(FailoverUriTest, SurvivesPrimaryDeathEndToEnd) {
   Rng rng(31);
@@ -506,18 +507,18 @@ TEST(FailoverUriTest, SurvivesPrimaryDeathEndToEnd) {
 
   BoundServer primary_server;
   ASSERT_EQ(Reply(primary_server, "LOAD " + path).rfind("OK ", 0), 0u);
-  StatusOr<TcpListener> primary_listener = TcpListener::Bind(0);
+  StatusOr<EventLoopListener> primary_listener = EventLoopListener::Bind(0);
   ASSERT_TRUE(primary_listener.ok());
   std::thread primary_thread(
-      [&] { (void)primary_listener->Serve(primary_server, {}); });
+      [&] { (void)primary_listener->Serve(primary_server); });
 
   BoundServer replica_server;
   ASSERT_EQ(Reply(replica_server, "LOAD " + path).rfind("OK ", 0), 0u);
   replica_server.set_read_only(true);
-  StatusOr<TcpListener> replica_listener = TcpListener::Bind(0);
+  StatusOr<EventLoopListener> replica_listener = EventLoopListener::Bind(0);
   ASSERT_TRUE(replica_listener.ok());
   std::thread replica_thread(
-      [&] { (void)replica_listener->Serve(replica_server, {}); });
+      [&] { (void)replica_listener->Serve(replica_server); });
 
   const std::string uri =
       "failover:tcp:127.0.0.1:" + std::to_string(primary_listener->port()) +
@@ -546,7 +547,7 @@ TEST(FailoverUriTest, SurvivesPrimaryDeathEndToEnd) {
   replica_thread.join();
 }
 
-#endif  // !_WIN32
+#endif  // __linux__
 
 }  // namespace
 }  // namespace pcx

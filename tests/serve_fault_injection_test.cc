@@ -1,4 +1,4 @@
-// Fault injection against a live server on both transports: slow-loris
+// Fault injection against a live event-loop server: slow-loris
 // clients trickling requests a byte at a time, and clients that die
 // mid-GROUPBY without reading their replies — while well-behaved fast
 // clients run a full workload concurrently. The contract: misbehaving
@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#ifndef _WIN32
+#ifdef __linux__  // TCP serving is epoll-based
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -32,10 +32,12 @@
 namespace pcx {
 namespace {
 
-enum class Transport { kThreads, kEventLoop };
+/// The suite's one instance runs on the event loop, the only TCP
+/// transport; the enum names the instance (`AllTransports/.../EventLoop`).
+enum class Transport { kEventLoop };
 
-std::string TransportName(const testing::TestParamInfo<Transport>& info) {
-  return info.param == Transport::kThreads ? "Threads" : "EventLoop";
+std::string TransportName(const testing::TestParamInfo<Transport>&) {
+  return "EventLoop";
 }
 
 PredicateConstraintSet SensorSet() {
@@ -75,51 +77,32 @@ std::string WriteFaultSnapshot() {
 
 class FaultTestServer {
  public:
-  explicit FaultTestServer(Transport transport) {
+  FaultTestServer() {
     PCX_CHECK(server_.LoadSnapshotFile(WriteFaultSnapshot()).ok());
-    if (transport == Transport::kEventLoop) {
-      StatusOr<EventLoopListener> listener = EventLoopListener::Bind(0);
-      PCX_CHECK(listener.ok()) << listener.status();
-      event_listener_.emplace(std::move(listener).value());
-      // Two solver workers on purpose: the event loop must shield them
-      // from the loris clients structurally (a connection holds no
-      // worker while it dribbles bytes), not by worker over-provision.
-      EventLoopListener::Options options;
-      options.solver_threads = 2;
-      thread_ = std::thread([this, options] {
-        serve_status_ = event_listener_->Serve(server_, options);
-      });
-      return;
-    }
-    StatusOr<TcpListener> listener = TcpListener::Bind(0);
+    StatusOr<EventLoopListener> listener = EventLoopListener::Bind(0);
     PCX_CHECK(listener.ok()) << listener.status();
-    tcp_listener_.emplace(std::move(listener).value());
-    // Thread-per-session needs a worker per concurrently-open session
-    // to avoid loris starvation — that head-count cost is exactly what
-    // motivates the event loop.
-    TcpListener::ServeOptions options;
-    options.session_threads = 8;
+    listener_.emplace(std::move(listener).value());
+    // Two solver workers on purpose: the event loop must shield them
+    // from the loris clients structurally (a connection holds no worker
+    // while it dribbles bytes), not by worker over-provision.
+    EventLoopListener::Options options;
+    options.solver_threads = 2;
     thread_ = std::thread([this, options] {
-      serve_status_ = tcp_listener_->Serve(server_, options);
+      serve_status_ = listener_->Serve(server_, options);
     });
   }
   ~FaultTestServer() {
-    if (event_listener_.has_value()) event_listener_->Shutdown();
-    if (tcp_listener_.has_value()) tcp_listener_->Shutdown();
+    listener_->Shutdown();
     thread_.join();
     EXPECT_TRUE(serve_status_.ok()) << serve_status_;
   }
 
-  uint16_t port() const {
-    return event_listener_.has_value() ? event_listener_->port()
-                                       : tcp_listener_->port();
-  }
+  uint16_t port() const { return listener_->port(); }
   BoundServer& server() { return server_; }
 
  private:
   BoundServer server_;
-  std::optional<TcpListener> tcp_listener_;
-  std::optional<EventLoopListener> event_listener_;
+  std::optional<EventLoopListener> listener_;
   Status serve_status_;
   std::thread thread_;
 };
@@ -149,7 +132,7 @@ std::string RecvLine(int fd) {
 class ServeFaultInjectionTest : public testing::TestWithParam<Transport> {};
 
 TEST_P(ServeFaultInjectionTest, SlowLorisAndMidVerbDeathsDoNotStarveOthers) {
-  FaultTestServer server(GetParam());
+  FaultTestServer server;
 
   // The ground truth every fast-client reply must bit-match.
   LocalBackend reference(SensorSet(), SensorDomains());
@@ -265,11 +248,10 @@ TEST_P(ServeFaultInjectionTest, SlowLorisAndMidVerbDeathsDoNotStarveOthers) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTransports, ServeFaultInjectionTest,
-                         testing::Values(Transport::kThreads,
-                                         Transport::kEventLoop),
+                         testing::Values(Transport::kEventLoop),
                          TransportName);
 
 }  // namespace
 }  // namespace pcx
 
-#endif  // !_WIN32
+#endif  // __linux__

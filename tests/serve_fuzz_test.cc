@@ -1,4 +1,4 @@
-// Protocol fuzzing against a LIVE server on both transports: seeded-
+// Protocol fuzzing against a LIVE event-loop server: seeded-
 // random garbage, truncated verbs, CRLF-mixed framing, binary noise,
 // and mid-verb disconnects. The contract under attack input is narrow
 // and absolute — every line the server answers is a well-formed typed
@@ -12,7 +12,7 @@
 
 #include <gtest/gtest.h>
 
-#ifndef _WIN32
+#ifdef __linux__  // TCP serving is epoll-based
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -33,10 +33,12 @@
 namespace pcx {
 namespace {
 
-enum class Transport { kThreads, kEventLoop };
+/// The suite's one instance runs on the event loop, the only TCP
+/// transport; the enum names the instance (`AllTransports/.../EventLoop`).
+enum class Transport { kEventLoop };
 
-std::string TransportName(const testing::TestParamInfo<Transport>& info) {
-  return info.param == Transport::kThreads ? "Threads" : "EventLoop";
+std::string TransportName(const testing::TestParamInfo<Transport>&) {
+  return "EventLoop";
 }
 
 PredicateConstraintSet SensorSet() {
@@ -73,45 +75,28 @@ std::string WriteFuzzSnapshot() {
 
 class FuzzTestServer {
  public:
-  explicit FuzzTestServer(Transport transport) {
+  FuzzTestServer() {
     PCX_CHECK(server_.LoadSnapshotFile(WriteFuzzSnapshot()).ok());
-    if (transport == Transport::kEventLoop) {
-      StatusOr<EventLoopListener> listener = EventLoopListener::Bind(0);
-      PCX_CHECK(listener.ok()) << listener.status();
-      event_listener_.emplace(std::move(listener).value());
-      EventLoopListener::Options options;
-      options.solver_threads = 2;
-      options.coalesce_us = 100;
-      thread_ = std::thread([this, options] {
-        serve_status_ = event_listener_->Serve(server_, options);
-      });
-      return;
-    }
-    StatusOr<TcpListener> listener = TcpListener::Bind(0);
+    StatusOr<EventLoopListener> listener = EventLoopListener::Bind(0);
     PCX_CHECK(listener.ok()) << listener.status();
-    tcp_listener_.emplace(std::move(listener).value());
-    TcpListener::ServeOptions options;
-    options.session_threads = 4;
+    listener_.emplace(std::move(listener).value());
+    EventLoopListener::Options options;
+    options.solver_threads = 2;
     thread_ = std::thread([this, options] {
-      serve_status_ = tcp_listener_->Serve(server_, options);
+      serve_status_ = listener_->Serve(server_, options);
     });
   }
   ~FuzzTestServer() {
-    if (event_listener_.has_value()) event_listener_->Shutdown();
-    if (tcp_listener_.has_value()) tcp_listener_->Shutdown();
+    listener_->Shutdown();
     thread_.join();
     EXPECT_TRUE(serve_status_.ok()) << serve_status_;
   }
 
-  uint16_t port() const {
-    return event_listener_.has_value() ? event_listener_->port()
-                                       : tcp_listener_->port();
-  }
+  uint16_t port() const { return listener_->port(); }
 
  private:
   BoundServer server_;
-  std::optional<TcpListener> tcp_listener_;
-  std::optional<EventLoopListener> event_listener_;
+  std::optional<EventLoopListener> listener_;
   Status serve_status_;
   std::thread thread_;
 };
@@ -241,7 +226,7 @@ std::string FuzzLine(Rng& rng) {
 class ServeFuzzTest : public testing::TestWithParam<Transport> {};
 
 TEST_P(ServeFuzzTest, RandomInputNeverCrashesOrWedgesTheServer) {
-  FuzzTestServer server(GetParam());
+  FuzzTestServer server;
   constexpr int kIterations = 60;
 
   for (int iter = 0; iter < kIterations; ++iter) {
@@ -306,11 +291,10 @@ TEST_P(ServeFuzzTest, RandomInputNeverCrashesOrWedgesTheServer) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTransports, ServeFuzzTest,
-                         testing::Values(Transport::kThreads,
-                                         Transport::kEventLoop),
+                         testing::Values(Transport::kEventLoop),
                          TransportName);
 
 }  // namespace
 }  // namespace pcx
 
-#endif  // !_WIN32
+#endif  // __linux__

@@ -1,7 +1,7 @@
 // pcx_serve — the serving front end of the predicate-constraint engine.
 //
 // Serve mode (default): load a snapshot and answer the line protocol on
-// stdin/stdout or a localhost TCP port:
+// stdin/stdout or a localhost TCP port (Linux epoll event loop):
 //
 //   pcx_serve --snapshot=examples/snapshots/sensors.pcxsnap
 //   pcx_serve --snapshot=... --port=7070
@@ -51,15 +51,13 @@ struct Flags {
   std::string connect;
   int port = -1;
   size_t threads = 0;
-  size_t serve_threads = 4;  // concurrent TCP session workers
-  int backlog = pcx::TcpListener::kDefaultBacklog;
+  size_t serve_threads = 4;  // TCP solver-pool workers
+  int backlog = pcx::EventLoopListener::kDefaultBacklog;
   bool scatter_gather = false;
   bool persistent_sat_cache = true;  // serving wants the cross-query cache
   size_t serve_clients = 0;          // exit after N TCP sessions (0 = forever)
-  bool event_loop = false;           // epoll transport instead of threads
-  size_t max_queue = 1024;           // event loop: admission cap (global)
-  size_t max_conn_pending = 64;      // event loop: admission cap (per conn)
-  unsigned long coalesce_us = 200;   // event loop: BOUND batching window
+  size_t max_queue = 1024;           // TCP admission cap (global)
+  size_t max_conn_pending = 64;      // TCP admission cap (per conn)
   std::string log_dir;               // durable delta log (crash recovery)
   std::string replica;               // tail a primary: tcp:host:port
   unsigned long sync_ms = 200;       // replica poll cadence
@@ -92,21 +90,23 @@ void Usage() {
       "Serve mode:\n"
       "  pcx_serve [--snapshot=PATH] [--port=N] [--threads=N]\n"
       "            [--serve-threads=N] [--backlog=N] [--serve-clients=N]\n"
+      "            [--max-queue=N] [--max-conn-pending=N]\n"
       "            [--scatter-gather] [--no-sat-cache] [--serve-once]\n"
       "    Without --port, speaks the protocol on stdin/stdout.\n"
       "    Without --snapshot, waits for a LOAD command.\n"
       "    --port=0 binds an ephemeral port and prints 'PORT <n>' on\n"
-      "    stdout before serving.\n"
-      "    --serve-threads=N serves N TCP clients concurrently (default\n"
-      "    4; 1 = sequential); --backlog=N sets the listen(2) queue\n"
+      "    stdout before serving. TCP serving is Linux-only: one epoll\n"
+      "    loop holds every connection (an fd each, not a thread), BOUNDs\n"
+      "    from all connections are batched whenever a solver worker is\n"
+      "    free, and overload is answered with ERR UNAVAILABLE. Stdio\n"
+      "    serving works everywhere.\n"
+      "    --serve-threads=N sizes the solver pool (default 4);\n"
+      "    --max-queue=N / --max-conn-pending=N set the admission caps\n"
+      "    (defaults 1024/64); --backlog=N sets the listen(2) queue\n"
       "    depth; --serve-clients=N exits after N sessions\n"
       "    (--serve-once is shorthand for --serve-clients=1).\n"
-      "    --event-loop switches to the epoll transport (C10K-scale:\n"
-      "    connections cost an fd, not a thread; cross-connection BOUND\n"
-      "    coalescing; overload answered with ERR UNAVAILABLE).\n"
-      "    --serve-threads then sizes its solver pool, and\n"
-      "    --max-queue=N / --max-conn-pending=N set the admission caps,\n"
-      "    --coalesce-us=N the batching window (defaults 1024/64/200).\n"
+      "    --event-loop is accepted and ignored (TCP always uses the\n"
+      "    event loop).\n"
       "    --log-dir=DIR journals APPEND/RETIRE/CHECKPOINT to a durable\n"
       "    fsync'd delta log; on restart the server recovers the exact\n"
       "    pre-crash epoch (base snapshot + log replay, torn tails\n"
@@ -399,13 +399,12 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(arg, "serve-clients", &value)) {
       flags.serve_clients = std::strtoul(value.c_str(), nullptr, 10);
     } else if (arg == "--event-loop") {
-      flags.event_loop = true;
+      // Accepted for existing scripts: the event loop is the only TCP
+      // transport.
     } else if (ParseFlag(arg, "max-queue", &value)) {
       flags.max_queue = std::strtoul(value.c_str(), nullptr, 10);
     } else if (ParseFlag(arg, "max-conn-pending", &value)) {
       flags.max_conn_pending = std::strtoul(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "coalesce-us", &value)) {
-      flags.coalesce_us = std::strtoul(value.c_str(), nullptr, 10);
     } else if (ParseFlag(arg, "log-dir", &value)) {
       flags.log_dir = value;
     } else if (ParseFlag(arg, "replica", &value)) {
@@ -543,7 +542,10 @@ int main(int argc, char** argv) {
                  flags.replica.c_str(), flags.sync_ms);
   }
 
-  if (flags.port >= 0 && flags.event_loop) {
+  if (flags.port >= 0) {
+    // Bind before serving so --port=0 (kernel-assigned ephemeral port)
+    // can announce the actual port: human-readable on stderr, a
+    // machine-readable "PORT <n>" line on stdout for scripts and CI.
     pcx::StatusOr<pcx::EventLoopListener> listener =
         pcx::EventLoopListener::Bind(static_cast<uint16_t>(flags.port),
                                      flags.backlog);
@@ -554,9 +556,8 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr,
                  "serving on localhost:%u (event loop, %zu solver threads, "
-                 "max_queue=%zu, coalesce_us=%lu)\n",
-                 listener->port(), flags.serve_threads, flags.max_queue,
-                 flags.coalesce_us);
+                 "max_queue=%zu)\n",
+                 listener->port(), flags.serve_threads, flags.max_queue);
     std::printf("PORT %u\n", listener->port());
     std::fflush(stdout);
     pcx::EventLoopListener::Options serve_options;
@@ -564,32 +565,6 @@ int main(int argc, char** argv) {
     serve_options.solver_threads = flags.serve_threads;
     serve_options.max_queue = flags.max_queue;
     serve_options.max_conn_pending = flags.max_conn_pending;
-    serve_options.coalesce_us = static_cast<uint32_t>(flags.coalesce_us);
-    const pcx::Status status = listener->Serve(server, serve_options);
-    if (!status.ok()) {
-      std::fprintf(stderr, "server error: %s\n", status.message().c_str());
-      return 1;
-    }
-    return 0;
-  }
-  if (flags.port >= 0) {
-    // Bind before serving so --port=0 (kernel-assigned ephemeral port)
-    // can announce the actual port: human-readable on stderr, a
-    // machine-readable "PORT <n>" line on stdout for scripts and CI.
-    pcx::StatusOr<pcx::TcpListener> listener = pcx::TcpListener::Bind(
-        static_cast<uint16_t>(flags.port), flags.backlog);
-    if (!listener.ok()) {
-      std::fprintf(stderr, "server error: %s\n",
-                   listener.status().message().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "serving on localhost:%u (%zu session threads)\n",
-                 listener->port(), flags.serve_threads);
-    std::printf("PORT %u\n", listener->port());
-    std::fflush(stdout);
-    pcx::TcpListener::ServeOptions serve_options;
-    serve_options.max_clients = flags.serve_clients;
-    serve_options.session_threads = flags.serve_threads;
     const pcx::Status status = listener->Serve(server, serve_options);
     if (!status.ok()) {
       std::fprintf(stderr, "server error: %s\n", status.message().c_str());
