@@ -44,11 +44,11 @@ class PcBoundSolver {
     /// Iterations of the AVG binary search.
     int avg_search_iterations = 60;
     /// Caller-supplied guarantee that the predicates are pairwise
-    /// disjoint, skipping the O(n^2) detection that would otherwise run
-    /// at construction (with auto_disjoint_fast_path on). Used by
-    /// ShardedBoundSolver, which detects disjointness once on the full
-    /// set and constructs many subset solvers: a subset of a disjoint
-    /// set is disjoint. Asserting this for an overlapping set produces
+    /// disjoint, skipping the overlap sweep (PredicatesDisjoint) that
+    /// would otherwise run at construction (with auto_disjoint_fast_path
+    /// on). Used by ShardedBoundSolver, which detects disjointness once
+    /// on the full set and constructs many subset solvers: a subset of a
+    /// disjoint set is disjoint. Asserting this for an overlapping set produces
     /// unsound bounds — leave it off unless the invariant is structural.
     bool assume_predicates_disjoint = false;
     /// Keep one SAT memo cache alive for the solver's whole lifetime
@@ -208,7 +208,7 @@ class PcBoundSolver {
   StatusOr<double> DisjointUpper(const AggQuery& query, bool count) const;
 
   /// DisjointUpper evaluated over an arbitrary constraint set (used for
-  /// the value-negated lower-bound pass without re-running the O(n^2)
+  /// the value-negated lower-bound pass without re-running the
   /// disjointness detection).
   StatusOr<double> DisjointUpperOn(const PredicateConstraintSet& pcs,
                                    const AggQuery& query, bool count) const;

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "route/pair_sweep.h"
 
 namespace pcx {
 
@@ -46,15 +47,16 @@ bool PredicateConstraintSet::IsClosedOver(
 
 bool PredicateConstraintSet::PredicatesDisjoint(
     const std::vector<AttrDomain>& domains) const {
+  std::vector<const Box*> boxes(pcs_.size());
   for (size_t i = 0; i < pcs_.size(); ++i) {
-    for (size_t j = i + 1; j < pcs_.size(); ++j) {
-      if (!pcs_[i].predicate().box().IntersectionEmpty(
-              pcs_[j].predicate().box(), domains)) {
-        return false;
-      }
-    }
+    boxes[i] = &pcs_[i].predicate().box();
   }
-  return true;
+  bool disjoint = true;
+  route::ForEachIntersectingPair(boxes, domains, [&](size_t, size_t) {
+    disjoint = false;
+    return false;  // the first overlapping pair settles it
+  });
+  return disjoint;
 }
 
 PredicateConstraintSet PredicateConstraintSet::NegatedValues() const {

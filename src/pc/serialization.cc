@@ -53,6 +53,12 @@ StatusOr<double> ParseNumber(const std::string& s) {
   if (end == s.c_str() || *end != '\0') {
     return Status::InvalidArgument("bad number '" + s + "'");
   }
+  // strtod accepts "nan": a NaN endpoint or frequency breaks every
+  // ordering a constraint relies on (and the frequency invariant
+  // aborts), so no input may carry one.
+  if (std::isnan(v)) {
+    return Status::InvalidArgument("NaN is not a valid number '" + s + "'");
+  }
   return v;
 }
 

@@ -55,7 +55,8 @@ StatusOr<Box> ParseBox(const std::string& text, size_t num_attrs);
 /// Round-trippable double formatting ("inf"/"-inf" for the infinities).
 std::string FormatNumber(double v);
 
-/// Parses FormatNumber output (also accepts "+inf").
+/// Parses FormatNumber output (also accepts "+inf"). NaN in any
+/// spelling is INVALID_ARGUMENT.
 StatusOr<double> ParseNumber(const std::string& s);
 
 }  // namespace pcx

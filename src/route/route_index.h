@@ -43,8 +43,13 @@ struct RouteIndexStats {
 /// endpoint comparisons are deliberately conservative — they ignore
 /// endpoint strictness and integer-domain rounding, which can only keep
 /// extra candidates — so the final verdicts are *bit-identical* to a
-/// linear IntersectionEmpty scan while the work drops from O(n) to
-/// O(d log n + k) for k true candidates.
+/// linear IntersectionEmpty scan. The run is one-sided: it skips only
+/// the larger of the two exclusion sets, so a query costs O(d log n + r)
+/// for a run of r = n - max(below, above) boxes — about n/2 for a
+/// narrow query in the middle of a lane, not O(k) for k true hits. That
+/// is cheap for one routing query, and is why stabbing every box of a
+/// set with this index does not beat a pairwise scan; all-pairs overlap
+/// uses route::ForEachIntersectingPair instead.
 ///
 /// Thread-safe: immutable after construction; queries use caller-owned
 /// scratch only.

@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "common/check.h"
+#include "route/pair_sweep.h"
 
 namespace pcx {
 namespace {
@@ -87,14 +88,12 @@ std::vector<std::vector<size_t>> OverlapComponents(
     const std::vector<AttrDomain>& domains) {
   const size_t n = pcs.size();
   DisjointSets sets(n);
-  for (size_t i = 0; i < n; ++i) {
-    const Box& bi = pcs.at(i).predicate().box();
-    for (size_t j = i + 1; j < n; ++j) {
-      if (!bi.IntersectionEmpty(pcs.at(j).predicate().box(), domains)) {
-        sets.Union(i, j);
-      }
-    }
-  }
+  std::vector<const Box*> boxes(n);
+  for (size_t i = 0; i < n; ++i) boxes[i] = &pcs.at(i).predicate().box();
+  route::ForEachIntersectingPair(boxes, domains, [&](size_t i, size_t j) {
+    sets.Union(i, j);
+    return true;
+  });
   // Components in discovery order = order of their smallest member.
   std::vector<std::vector<size_t>> comps;
   std::vector<size_t> comp_of(n, SIZE_MAX);

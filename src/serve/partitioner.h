@@ -49,8 +49,8 @@ struct Partition {
   /// Per global PC index: dense id of its overlap component, ids in
   /// discovery order (by smallest member) — the normal form
   /// OverlapComponents produces. ShardedBoundSolver::ApplyDeltas seeds
-  /// a union-find from this so appends maintain the component
-  /// structure incrementally instead of re-running the O(n^2) scan.
+  /// a union-find from this so mutations maintain the component
+  /// structure incrementally instead of re-running OverlapComponents.
   std::vector<size_t> component_of;
   size_t num_components = 0;
   /// PCs in the largest overlap component — the unsplittable unit. When
@@ -75,9 +75,9 @@ double EstimateComponentCost(size_t num_pcs);
 /// (the same IntersectionEmpty-under-domains criterion the solver's
 /// disjointness detection uses, so "every component is a singleton" is
 /// exactly "the predicates are pairwise disjoint"). Components are in
-/// discovery order (by smallest member); members ascend. One O(n^2)
-/// scan — PartitionPcSet and the snapshot-loading path both build on
-/// this instead of re-scanning.
+/// discovery order (by smallest member); members ascend. One
+/// route::ForEachIntersectingPair sweep — PartitionPcSet and the
+/// snapshot-loading path both build on this instead of re-scanning.
 std::vector<std::vector<size_t>> OverlapComponents(
     const PredicateConstraintSet& pcs,
     const std::vector<AttrDomain>& domains);

@@ -10,6 +10,7 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
+#include "route/pair_sweep.h"
 
 namespace pcx {
 namespace {
@@ -142,9 +143,9 @@ ShardedBoundSolver::ShardedBoundSolver(const Snapshot& snapshot,
       epoch_(snapshot.epoch) {
   // Adopt the stored shard layout verbatim; re-derive the balance
   // metadata from the component structure (a property of the set, not
-  // of the file) so STATS reports the same numbers the snapshot
-  // builder printed. One O(n^2) scan serves components, costs, and the
-  // disjointness verdict in BuildShards.
+  // of the file) so STATS reports the same numbers the snapshot's
+  // writer printed. One overlap sweep serves components, costs, and
+  // the disjointness verdict in BuildShards.
   partition_.shards.clear();
   for (const SnapshotShard& s : snapshot.shards) {
     partition_.shards.push_back(s.indices);
@@ -191,9 +192,9 @@ void ShardedBoundSolver::BuildShards(
   PCX_CHECK(partition_.shards.size() <= kMaxShards)
       << "ShardedBoundSolver routes with a 64-bit shard mask";
   // Every overlap component a singleton <=> pairwise disjoint: the
-  // component scan uses the same IntersectionEmpty criterion as
-  // PredicatesDisjoint, so the verdict (already paid for by both
-  // constructors) matches the unsharded solver's bit for bit.
+  // components and PredicatesDisjoint both come from
+  // route::ForEachIntersectingPair, so the verdict (already paid for by
+  // both constructors) matches the unsharded solver's bit for bit.
   flat_disjoint_ = options_.solver.auto_disjoint_fast_path &&
                    partition_.num_components == flat_.size();
   // A shard's subset can be pairwise disjoint even when the full set is
@@ -201,8 +202,7 @@ void ShardedBoundSolver::BuildShards(
   // relative to the unsharded solver, so the verdict of the *full* set
   // is imposed on every shard and union solver. In the disjoint case
   // the verdict transfers to every subset, so shard/union construction
-  // skips the O(m^2) re-detection — without this, building a memoized
-  // union solver would cost more than the queries it serves.
+  // skips re-detecting it with one overlap sweep per subset.
   if (flat_disjoint_) {
     options_.solver.assume_predicates_disjoint = true;
   } else {
@@ -352,10 +352,10 @@ ShardedBoundSolver::ApplyDeltas(std::span<const DeltaRecord> records) const {
   // component ids. An append only ever *adds* overlap edges (new
   // constraint <-> every overlapping alive constraint), so unioning
   // along exactly those edges keeps the structure the transitive
-  // closure OverlapComponents would compute — without its O(n^2)
-  // rescan. The one mutation the bookkeeping cannot follow is retiring
-  // a member of a multi-member component (the component may split);
-  // only that case falls back to the full rescan below.
+  // closure OverlapComponents would compute, without rescanning the
+  // set. Retiring a member of a multi-member component may split it,
+  // which a union-find cannot express: the retired key is recorded,
+  // and after the batch only the components it touched are re-split.
   std::vector<size_t> parent(pc_of_key.size());
   std::vector<size_t> comp_size(pc_of_key.size(), 1);
   for (size_t i = 0; i < parent.size(); ++i) parent[i] = i;
@@ -393,6 +393,7 @@ ShardedBoundSolver::ApplyDeltas(std::span<const DeltaRecord> records) const {
     }
   }
 
+  std::vector<size_t> split_keys;  // retired out of multi-member components
   uint64_t epoch = epoch_;
   bool checkpointed = false;
   for (const DeltaRecord& rec : records) {
@@ -501,8 +502,8 @@ ShardedBoundSolver::ApplyDeltas(std::span<const DeltaRecord> records) const {
         // until the next CHECKPOINT re-partitions and tightens it.
         // A retired singleton component simply disappears (the dead key
         // is never scanned again); retiring out of a larger component
-        // may split it, which the union-find cannot express.
-        if (comp_size[find(key)] > 1) components_exact = false;
+        // may split it, settled after the batch.
+        if (comp_size[find(key)] > 1) split_keys.push_back(key);
         break;
       }
       case DeltaOp::kCheckpoint:
@@ -546,6 +547,31 @@ ShardedBoundSolver::ApplyDeltas(std::span<const DeltaRecord> records) const {
         std::vector<std::shared_ptr<const PcBoundSolver>>()));
   }
 
+  if (components_exact && !split_keys.empty()) {
+    // Re-split every component a retire touched: reset its alive
+    // members to singletons and re-union them along their actual
+    // overlaps. Within a batch components only ever merge, so the
+    // union-find is coarser than (or equal to) the true closure, and
+    // re-splitting exactly the touched components leaves it exact.
+    std::vector<char> touched_root(parent.size(), 0);
+    for (size_t k : split_keys) touched_root[find(k)] = 1;
+    std::vector<size_t> resplit;
+    for (size_t k : order) {
+      if (touched_root[find(k)] != 0) resplit.push_back(k);
+    }
+    std::vector<const Box*> boxes;
+    boxes.reserve(resplit.size());
+    for (size_t k : resplit) {
+      parent[k] = k;
+      comp_size[k] = 1;
+      boxes.push_back(&pc_of_key[k].predicate().box());
+    }
+    route::ForEachIntersectingPair(boxes, domains_, [&](size_t a, size_t b) {
+      unite(resplit[a], resplit[b]);
+      return true;
+    });
+  }
+
   Partition partition;
   partition.shards.resize(members.size());
   for (size_t s = 0; s < members.size(); ++s) {
@@ -567,7 +593,7 @@ ShardedBoundSolver::ApplyDeltas(std::span<const DeltaRecord> records) const {
     // Read the maintained structure off the union-find: walking alive
     // keys in ascending order and numbering roots on first sight yields
     // the same dense ids, sizes, and cost attribution (to the shard of
-    // a component's smallest member) the rescan below would produce.
+    // a component's smallest member) OverlapComponents would produce.
     std::vector<size_t> id_of_root(parent.size(), SIZE_MAX);
     std::vector<size_t> count;
     std::vector<size_t> first_shard;
@@ -589,6 +615,8 @@ ShardedBoundSolver::ApplyDeltas(std::span<const DeltaRecord> records) const {
           EstimateComponentCost(count[c]);
     }
   } else {
+    // The predecessor's component ids did not fit its set (hand-built
+    // metadata): recompute the components of the final set outright.
     for (const std::vector<size_t>& comp :
          OverlapComponents(new_flat, domains_)) {
       for (size_t i : comp) partition.component_of[i] = partition.num_components;

@@ -144,8 +144,9 @@ class ShardedBoundSolver {
   /// owner's shard, and every untouched shard's solver is shared with
   /// the new instance. The overlap-component structure is maintained
   /// incrementally (a union-find seeded from Partition::component_of),
-  /// so appends never pay the O(n^2) component rescan a reload does;
-  /// only a retire out of a multi-member component falls back to it.
+  /// so appends never rescan the set the way a reload does; a retire
+  /// out of a multi-member component re-splits just that component
+  /// with route::ForEachIntersectingPair over its surviving members.
   /// A run containing a CHECKPOINT instead re-partitions the final set
   /// from scratch (at the current shard width): shards merged by bridge
   /// appends and hulls left stale by retires are recomputed tight, so

@@ -54,6 +54,20 @@ TEST(IntervalSerializationTest, RejectsMalformed) {
   EXPECT_FALSE(ParseInterval("[1]").ok());
 }
 
+TEST(IntervalSerializationTest, RejectsNaN) {
+  for (const char* nan : {"nan", "NaN", "-nan"}) {
+    const StatusOr<double> v = ParseNumber(nan);
+    ASSERT_FALSE(v.ok()) << nan;
+    EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument) << nan;
+    EXPECT_FALSE(ParseInterval(std::string("[") + nan + ",5]").ok()) << nan;
+    EXPECT_FALSE(ParseInterval(std::string("[0,") + nan + "]").ok()) << nan;
+  }
+  const auto pc =
+      ParsePcBody("pred={0:[0,5]} values={1:[0,1]} freq=[0,nan]", 2);
+  ASSERT_FALSE(pc.ok());
+  EXPECT_EQ(pc.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(PcSetSerializationTest, RoundTripPreservesSemantics) {
   const PredicateConstraintSet original = SampleSet();
   const std::string text = SerializePcSet(original);

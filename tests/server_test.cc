@@ -146,6 +146,21 @@ TEST(ServerTest, MalformedCommandsAnswerErrWithoutDying) {
             "RANGE lo=2 hi=9 defined=1 empty_possible=0\n");
 }
 
+TEST(ServerTest, NaNAppendAnswersErrAndKeepsServing) {
+  const std::string path = WriteSensorSnapshot(1);
+  BoundServer server;
+  ASSERT_EQ(Reply(server, "LOAD " + path).rfind("OK ", 0), 0u);
+  for (const char* body :
+       {"pred={0:[0,5]} values={2:[0,1]} freq=[0,nan]",
+        "pred={0:[nan,5]} values={2:[0,1]} freq=[0,1]",
+        "pred={0:[0,5]} values={2:[-nan,1]} freq=[0,1]"}) {
+    const std::string reply = Reply(server, std::string("APPEND ") + body);
+    EXPECT_EQ(reply.rfind("ERR INVALID_ARGUMENT ", 0), 0u) << reply;
+  }
+  EXPECT_EQ(Reply(server, "BOUND COUNT 0"),
+            "RANGE lo=2 hi=9 defined=1 empty_possible=0\n");
+}
+
 TEST(ServerTest, ServeStreamHandlesCrlfAndQuit) {
   const std::string path = WriteSensorSnapshot(2);
   BoundServer server;

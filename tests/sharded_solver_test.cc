@@ -10,6 +10,7 @@
 #include "common/random.h"
 #include "eval/harness.h"
 #include "pc/group_by.h"
+#include "serve/delta_log.h"
 #include "workload/datasets.h"
 #include "workload/missing.h"
 #include "workload/pc_gen.h"
@@ -419,6 +420,130 @@ TEST(ShardedSolverTest, SnapshotConstructorPreservesAnswersAndEpoch) {
   Rng qrng(641);
   for (const AggQuery& q : QueryPanel(3, qrng)) {
     ExpectSameAnswer(reference.Bound(q), sharded.Bound(q), "snapshot ctor");
+  }
+}
+
+/// One constraint over attribute 0 (integer) of a 2-attribute schema.
+PredicateConstraint SpanPc(double lo, double hi) {
+  Predicate pred(2);
+  pred.AddRange(0, lo, hi);
+  Box values(2);
+  values.Constrain(1, Interval::Closed(0.0, 10.0));
+  return PredicateConstraint(pred, values, {0, 3});
+}
+
+/// Checks the incrementally maintained overlap metadata against a
+/// fresh partition of the same set: component ids, count and largest
+/// size exactly; estimated costs as OverlapComponents attributes them
+/// to the solver's own layout (the shard of a component's smallest
+/// member), with the same total a fresh partition reports.
+void ExpectFreshComponents(const ShardedBoundSolver& solver,
+                           const std::string& context) {
+  const PredicateConstraintSet& flat = solver.constraints();
+  const Partition& got = solver.partition();
+  const Partition fresh = PartitionPcSet(
+      flat, solver.domains(), {solver.num_shards(),
+                               PartitionStrategy::kAttributeRange});
+  EXPECT_EQ(got.component_of, fresh.component_of) << context;
+  EXPECT_EQ(got.num_components, fresh.num_components) << context;
+  EXPECT_EQ(got.largest_component, fresh.largest_component) << context;
+
+  std::vector<size_t> shard_of(flat.size(), 0);
+  for (size_t s = 0; s < got.shards.size(); ++s) {
+    for (size_t i : got.shards[s]) shard_of[i] = s;
+  }
+  std::vector<double> want_cost(got.shards.size(), 0.0);
+  for (const std::vector<size_t>& comp :
+       OverlapComponents(flat, solver.domains())) {
+    want_cost[shard_of[comp.front()]] += EstimateComponentCost(comp.size());
+  }
+  EXPECT_EQ(got.estimated_cost, want_cost) << context;
+  double got_total = 0.0, fresh_total = 0.0;
+  for (double c : got.estimated_cost) got_total += c;
+  for (double c : fresh.estimated_cost) fresh_total += c;
+  EXPECT_EQ(got_total, fresh_total) << context;
+}
+
+TEST(ShardedSolverTest, ApplyDeltasKeepsComponentsExact) {
+  const std::vector<AttrDomain> domains = {AttrDomain::kInteger,
+                                           AttrDomain::kContinuous};
+  for (const uint64_t seed : {3u, 19u, 56u, 90u}) {
+    Rng rng(seed);
+    // Chains of touching spans ([a, a+2], [a+2, a+4], ...) spaced apart,
+    // plus singletons: retiring a chain's middle splits it.
+    PredicateConstraintSet base;
+    for (int c = 0; c < 6; ++c) {
+      const double at = 100.0 * c;
+      const int len = static_cast<int>(rng.UniformInt(1, 5));
+      for (int m = 0; m < len; ++m) {
+        base.Add(SpanPc(at + 2 * m, at + 2 * m + 2));
+      }
+    }
+    ShardedBoundSolver::Options options;
+    options.partition.num_shards = 4;
+    auto solver =
+        std::make_shared<const ShardedBoundSolver>(base, domains, options);
+    ExpectFreshComponents(*solver, "seed " + std::to_string(seed) + " base");
+
+    uint64_t epoch = solver->epoch();
+    for (int round = 0; round < 30; ++round) {
+      const std::string context =
+          "seed " + std::to_string(seed) + " round " + std::to_string(round);
+      size_t size = solver->constraints().size();
+      std::vector<DeltaRecord> records;
+      const size_t batch = static_cast<size_t>(rng.UniformInt(1, 4));
+      for (size_t r = 0; r < batch; ++r) {
+        DeltaRecord rec;
+        rec.epoch = ++epoch;
+        const int64_t kind = rng.UniformInt(0, 9);
+        if (kind < 4 || size == 0) {
+          rec.op = DeltaOp::kAppend;
+          const double at = 100.0 * static_cast<double>(rng.UniformInt(0, 6));
+          if (kind == 0) {
+            // Bridge: spans into the next chain's region.
+            rec.pc = SpanPc(at + 4, at + 104);
+          } else if (kind == 1) {
+            // Open integer gap (at, at+1): an empty predicate.
+            rec.pc = PredicateConstraint(
+                Predicate(2).AddInterval(0, Interval{at, at + 1, true, true}),
+                Box(2), {0, 1});
+          } else {
+            const double lo = at + static_cast<double>(rng.UniformInt(0, 12));
+            rec.pc = SpanPc(lo, lo + static_cast<double>(rng.UniformInt(0, 3)));
+          }
+          ++size;
+        } else if (kind < 9) {
+          rec.op = DeltaOp::kRetire;
+          if (kind == 8 && !solver->partition().component_of.empty()) {
+            // Retire the smallest member (the union-find root) of the
+            // first multi-member component, when there is one.
+            const Partition& p = solver->partition();
+            std::vector<size_t> members(p.num_components, 0);
+            for (size_t c : p.component_of) ++members[c];
+            size_t pick = 0;
+            for (size_t i = 0; i < p.component_of.size(); ++i) {
+              if (members[p.component_of[i]] > 1) {
+                pick = i;
+                break;
+              }
+            }
+            rec.retire_index = std::min(pick, size - 1);
+          } else {
+            rec.retire_index = static_cast<size_t>(
+                rng.UniformInt(0, static_cast<int64_t>(size) - 1));
+          }
+          --size;
+        } else {
+          rec.op = DeltaOp::kCheckpoint;
+        }
+        records.push_back(std::move(rec));
+      }
+      auto next = solver->ApplyDeltas(records);
+      ASSERT_TRUE(next.ok()) << context << ": " << next.status();
+      solver = std::move(*next);
+      ASSERT_EQ(solver->constraints().size(), size) << context;
+      ExpectFreshComponents(*solver, context);
+    }
   }
 }
 
