@@ -14,7 +14,6 @@
 #include "bench/bench_json.h"
 #include "bench/bench_util.h"
 #include "pc/bound_solver.h"
-#include "serve/sharded_solver.h"
 #include "workload/datasets.h"
 #include "workload/missing.h"
 #include "workload/pc_gen.h"
@@ -35,8 +34,8 @@ void Run(size_t queries_per_size) {
   auto json = bench::JsonEmitter::FromEnv("fig8_partition_scale");
   std::printf("=== Figure 8: solve time per query vs partition size "
               "(disjoint PCs, greedy path, batched) ===\n");
-  std::printf("%-14s %-16s %-18s %-18s\n", "partition", "avg-time-ms",
-              "sharded8-avg-ms", "used-greedy-path");
+  std::printf("%-14s %-16s %-18s\n", "partition", "avg-time-ms",
+              "used-greedy-path");
   for (size_t size : {50, 100, 500, 1000, 2000}) {
     const auto pcs = workload::MakeCorrPCs(split.missing, {device, time},
                                            light, size);
@@ -58,28 +57,7 @@ void Run(size_t queries_per_size) {
     const double total_ms = sw.ElapsedMs();
     const double avg_ms = total_ms / static_cast<double>(solved);
 
-    // Sharded serving mode (PR 3): the same sweep through an 8-shard
-    // ShardedBoundSolver. Fig. 8's random queries span many shards, so
-    // scatter-gather is the right serving mode here: each shard solves
-    // its slice and the disjoint-region combine reassembles the bound
-    // (bench_sharded_serving measures the selective-query case where
-    // exact union routing wins).
-    ShardedBoundSolver::Options sopts;
-    sopts.partition = {8, PartitionStrategy::kAttributeRange};
-    sopts.num_threads = 1;
-    sopts.scatter_gather = true;
-    const ShardedBoundSolver sharded(pcs, domains, sopts);
-    bench::Stopwatch sw_sharded;
-    const auto sharded_results = sharded.BoundBatch(queries);
-    size_t sharded_solved = 0;
-    for (const auto& r : sharded_results) {
-      if (r.ok()) ++sharded_solved;
-    }
-    const double sharded_ms =
-        sw_sharded.ElapsedMs() / static_cast<double>(sharded_solved);
-
-    std::printf("%-14zu %-16.3f %-18.3f %-18s\n", pcs.size(), avg_ms,
-                sharded_ms,
+    std::printf("%-14zu %-16.3f %-18s\n", pcs.size(), avg_ms,
                 solver.last_stats().used_disjoint_fast_path ? "yes" : "no");
     json.Add()
         .Num("partition_size", static_cast<double>(pcs.size()))
@@ -87,7 +65,6 @@ void Run(size_t queries_per_size) {
         .Num("solved", static_cast<double>(solved))
         .Num("total_ms", total_ms)
         .Num("avg_ms", avg_ms)
-        .Num("sharded8_avg_ms", sharded_ms)
         .Str("used_greedy_path",
              solver.last_stats().used_disjoint_fast_path ? "yes" : "no");
   }

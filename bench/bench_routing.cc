@@ -7,12 +7,16 @@
 // narrow shard-local COUNT queries (the serving fast path). For every
 // query the two masks are cross-checked bit for bit — a mismatch makes
 // the bench exit nonzero, so the CI release job doubles as a routing
-// equivalence check at scale.
+// equivalence check at scale. Each implementation's time is the median
+// of 5 interleaved repetitions, so one slow stretch on a shared host
+// cannot sink the >= 2x self-check on its own.
 //
 // Set PCX_BENCH_JSON=<path> to emit BENCH_pr9.json.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "bench/bench_json.h"
 #include "bench/bench_util.h"
@@ -63,7 +67,7 @@ bool Measure(const ShardedBoundSolver& solver,
   std::vector<ShardMask> expected(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     expected[i] = solver.RouteMaskLinear(queries[i]);
-    if (solver.RouteMaskIndexed(queries[i]) != expected[i]) {
+    if (solver.RouteMask(queries[i]) != expected[i]) {
       std::fprintf(stderr,
                    "FAIL: mask mismatch at query %zu (shards=%zu pcs=%zu)\n",
                    i, solver.num_shards(), solver.constraints().size());
@@ -71,18 +75,26 @@ bool Measure(const ShardedBoundSolver& solver,
     }
   }
   ShardMask sink = 0;  // defeat dead-code elimination
-  bench::Stopwatch lin;
-  for (size_t r = 0; r < reps; ++r) {
-    for (const AggQuery& q : queries) sink ^= solver.RouteMaskLinear(q);
+  const double per_query = 1e6 / static_cast<double>(reps * queries.size());
+  std::vector<double> linear_ns, index_ns;
+  for (int sample = 0; sample < 5; ++sample) {
+    bench::Stopwatch lin;
+    for (size_t r = 0; r < reps; ++r) {
+      for (const AggQuery& q : queries) sink ^= solver.RouteMaskLinear(q);
+    }
+    linear_ns.push_back(lin.ElapsedMs() * per_query);
+    bench::Stopwatch idx;
+    for (size_t r = 0; r < reps; ++r) {
+      for (const AggQuery& q : queries) sink ^= solver.RouteMask(q);
+    }
+    index_ns.push_back(idx.ElapsedMs() * per_query);
   }
-  out->linear_ns =
-      lin.ElapsedMs() * 1e6 / static_cast<double>(reps * queries.size());
-  bench::Stopwatch idx;
-  for (size_t r = 0; r < reps; ++r) {
-    for (const AggQuery& q : queries) sink ^= solver.RouteMaskIndexed(q);
-  }
-  out->index_ns =
-      idx.ElapsedMs() * 1e6 / static_cast<double>(reps * queries.size());
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  out->linear_ns = median(linear_ns);
+  out->index_ns = median(index_ns);
   if (sink == ShardMask{0xdeadbeef}) std::printf("(unlikely)\n");
   return true;
 }

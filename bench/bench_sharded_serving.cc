@@ -8,12 +8,9 @@
 //              that owns the query region, so avg time should drop
 //              roughly linearly in K (the skew-aware partition keeps
 //              shards balanced).
-//   combine  — shard-spanning queries at K=8: exact union routing
-//              (memoized union solve over the touched shards) vs
-//              scatter-gather (per-shard solve + combine). The ratio
-//              quantifies what the distributed answer path costs or
-//              saves; with balanced shards the scatter side tends to
-//              win (smaller per-shard scans, no union assembly).
+//   spanning — shard-spanning queries at K=8, answered by union
+//              routing (a memoized solver over the touched shards):
+//              the cost of the queries routing cannot keep local.
 //   snapshot — write/load round-trip of the 2000-PC snapshot, the
 //              serving ops cost of shipping a constraint version.
 //
@@ -99,7 +96,7 @@ void Run(size_t num_queries) {
         .Num("imbalance", imbalance);
   }
 
-  // --- Section 2: combine overhead on shard-spanning queries. ------
+  // --- Section 2: union routing on shard-spanning queries. ---------
   // Wide device ranges so every query touches several shards.
   workload::QueryGenOptions wide_opts;
   wide_opts.count = num_queries / 2;
@@ -107,16 +104,10 @@ void Run(size_t num_queries) {
   wide_opts.attrs_per_query = 1;
   const auto spanning = workload::MakeRandomRangeQueries(
       full, {time_attr}, AggFunc::kSum, light, wide_opts);
-  std::printf("\n=== Combine overhead at 8 shards (%zu spanning queries) "
-              "===\n",
-              spanning.size());
-  std::printf("%-16s %-12s %-14s\n", "mode", "avg-ms", "scatter-queries");
-  double union_avg = 0.0;
-  for (const bool scatter : {false, true}) {
+  {
     ShardedBoundSolver::Options sopts;
     sopts.partition = {8, PartitionStrategy::kAttributeRange};
     sopts.num_threads = 1;
-    sopts.scatter_gather = scatter;
     const ShardedBoundSolver solver(pcs, domains, sopts);
     bench::Stopwatch sw;
     const auto results = solver.BoundBatch(spanning);
@@ -124,20 +115,25 @@ void Run(size_t num_queries) {
     size_t solved = 0;
     for (const auto& r : results) solved += r.ok() ? 1 : 0;
     const double avg_ms = total_ms / static_cast<double>(solved);
-    if (!scatter) union_avg = avg_ms;
     const auto stats = solver.stats();
-    std::printf("%-16s %-12.4f %-14zu\n",
-                scatter ? "scatter-gather" : "union-routing", avg_ms,
-                stats.scatter_queries);
+    std::printf("\n=== Union routing at 8 shards (%zu spanning queries) "
+                "===\n",
+                spanning.size());
+    std::printf("%-12s %-14s %-14s\n", "avg-ms", "multi-shard",
+                "union-solvers");
+    std::printf("%-12.4f %-14zu %-14zu\n", avg_ms, stats.multi_shard_queries,
+                stats.union_solvers_built);
     json.Add()
-        .Str("section", "combine")
-        .Str("mode", scatter ? "scatter_gather" : "union_routing")
+        .Str("section", "spanning")
+        .Str("mode", "union_routing")
         .Num("shards", 8)
         .Num("queries", static_cast<double>(spanning.size()))
         .Num("solved", static_cast<double>(solved))
         .Num("avg_ms", avg_ms)
-        .Num("overhead_vs_union", union_avg > 0.0 ? avg_ms / union_avg : 1.0)
-        .Num("scatter_queries", static_cast<double>(stats.scatter_queries));
+        .Num("multi_shard_queries",
+             static_cast<double>(stats.multi_shard_queries))
+        .Num("union_solvers_built",
+             static_cast<double>(stats.union_solvers_built));
   }
 
   // --- Section 3: snapshot write / load. ---------------------------
@@ -170,9 +166,7 @@ void Run(size_t num_queries) {
   }
 
   std::printf("\nShape check: avg serve time drops roughly linearly with "
-              "the shard count on the partitioned workload; on spanning "
-              "queries the scatter-gather combine is at worst a modest "
-              "overhead over union routing (and usually a win).\n");
+              "the shard count on the partitioned workload.\n");
 }
 
 }  // namespace

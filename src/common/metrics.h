@@ -26,8 +26,14 @@ namespace pcx {
 /// setup and then touch nothing but relaxed atomics per event — an
 /// Observe() is a couple of fetch_adds, never a lock.
 
+/// Every metric owns its cache lines: serving threads update different
+/// series concurrently, and series allocated side by side must not
+/// false-share (which series end up neighbours depends on registration
+/// order, so without this a change to the set of series moves latency).
+inline constexpr size_t kMetricAlign = 64;
+
 /// Monotonic event counter.
-class Counter {
+class alignas(kMetricAlign) Counter {
  public:
   void Increment(uint64_t n = 1) {
     value_.fetch_add(n, std::memory_order_relaxed);
@@ -40,7 +46,7 @@ class Counter {
 
 /// A value that goes up and down (queue depth, lag, open connections).
 /// MaxWith maintains high-water marks without a second metric type.
-class Gauge {
+class alignas(kMetricAlign) Gauge {
  public:
   void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
   /// Returns the post-add value (one atomic op — lets a caller feed a
@@ -74,7 +80,7 @@ class Gauge {
 /// one event — the standard Prometheus tolerance), but count() is
 /// derived from the buckets so `sum(buckets) == count` always holds in
 /// one exposition.
-class Histogram {
+class alignas(kMetricAlign) Histogram {
  public:
   /// Finite bucket upper bounds: 2^0 .. 2^(kNumFiniteBuckets-1).
   static constexpr size_t kNumFiniteBuckets = 27;

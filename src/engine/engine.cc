@@ -116,8 +116,6 @@ StatusOr<Engine> OpenSnapshot(const UriBody& body, Engine::Options options) {
                                        "' (want range|roundrobin)");
       }
       strategy_given = true;
-    } else if (key == "scatter") {
-      options.sharded.scatter_gather = value != "0";
     } else if (key == "threads") {
       PCX_ASSIGN_OR_RETURN(const uint64_t n, ParseU64(value));
       options.sharded.num_threads = static_cast<size_t>(n);

@@ -28,8 +28,7 @@ namespace pcx {
 ///   snapshot:<pcxsnap-path>   in-process ShardedBoundSolver over the
 ///                             snapshot's stored shards
 ///                             params: shards=K (repartition to K shards),
-///                             strategy=range|roundrobin, scatter=1,
-///                             threads=N
+///                             strategy=range|roundrobin, threads=N
 ///   tcp:<host>:<port>         RemoteBackend speaking the pcx_serve
 ///                             line protocol
 ///   mirror:<uri>|<uri>|...    MirrorBackend over the listed replicas
@@ -50,7 +49,7 @@ class Engine {
     LocalBackend::Options local;
     /// Backend configuration for "snapshot:" URIs (its `solver` member
     /// is the per-shard solver configuration). URI parameters override
-    /// the partition/scatter/threads fields.
+    /// the partition/threads fields.
     ShardedBoundSolver::Options sharded;
     /// Replica-checking configuration for "mirror:" URIs (epoch skew
     /// tolerated by Health() during rolling reloads).

@@ -13,6 +13,9 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Halvings of the AVG ratio search (it also stops at a 1e-9 bracket).
+constexpr int kAvgSearchIterations = 60;
+
 /// True when the query predicate region contains the whole predicate
 /// box of `pc` — only then do the PC's mandatory rows (kappa.lo) have to
 /// fall inside the query region.
@@ -287,9 +290,13 @@ StatusOr<ResultRange> PcBoundSolver::BoundAvg(const AggQuery& query,
     };
     PCX_ASSIGN_OR_RETURN(const bool any, feasible(r_lo));
     if (!any) return Status::Infeasible("no instance with a matching row");
+    // Invariant: r_lo is feasible, and `hi` is r_hi or a ratio found
+    // infeasible, so the optimum lies in [lo, hi]. The bracket's
+    // infeasible end is the sound upper bound; `lo` may sit below the
+    // optimum by the final bracket width (about 0.9 when the search
+    // starts from -1e18).
     double lo = r_lo, hi = r_hi;
-    for (int it = 0; it < options_.avg_search_iterations && hi - lo > 1e-9;
-         ++it) {
+    for (int it = 0; it < kAvgSearchIterations && hi - lo > 1e-9; ++it) {
       const double mid = lo + (hi - lo) / 2.0;
       PCX_ASSIGN_OR_RETURN(const bool f, feasible(mid));
       if (f) {
@@ -298,7 +305,7 @@ StatusOr<ResultRange> PcBoundSolver::BoundAvg(const AggQuery& query,
         hi = mid;
       }
     }
-    return lo;
+    return hi;
   };
 
   // Upper end on the values; lower end by negation symmetry:

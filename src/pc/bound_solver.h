@@ -41,8 +41,6 @@ class PcBoundSolver {
     /// Verify that a cell can actually receive >= 1 row before using
     /// its bound for MIN/MAX (one feasibility solve per scanned cell).
     bool check_cell_occupancy = true;
-    /// Iterations of the AVG binary search.
-    int avg_search_iterations = 60;
     /// Caller-supplied guarantee that the predicates are pairwise
     /// disjoint, skipping the overlap sweep (PredicatesDisjoint) that
     /// would otherwise run at construction (with auto_disjoint_fast_path

@@ -11,13 +11,6 @@
 namespace pcx {
 namespace route {
 
-/// How ShardedBoundSolver answers RouteMask.
-enum class RouteMode {
-  kLinear,  ///< the O(n) hull-then-member scan (the verification oracle)
-  kIndex,   ///< compiled RouteIndex dispatch (linear fallback if absent)
-  kVerify,  ///< both, PCX_CHECK-ed bit-identical (tests / chaos runs)
-};
-
 /// Build-time shape of a compiled index (what STATS/METRICS surface).
 struct RouteIndexStats {
   size_t num_boxes = 0;    ///< indexed boxes

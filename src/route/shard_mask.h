@@ -10,10 +10,10 @@ namespace pcx {
 /// relevant to this query". The single place the shard-count ceiling
 /// lives — the partitioner clamps to it, the snapshot loader answers a
 /// typed ERR past it, and ShardedBoundSolver's mask plumbing (RouteMask,
-/// SolverFor, the union-solver memo, scatter-gather) is typed against
-/// it. Widening the fleet beyond 64 shards means changing ShardMask to
-/// a wider word (or a bitset) here and nowhere else; the static_assert
-/// below keeps the two from drifting apart silently.
+/// SolverFor, the union-solver memo) is typed against it. Widening the
+/// fleet beyond 64 shards means changing ShardMask to a wider word (or
+/// a bitset) here and nowhere else; the static_assert below keeps the
+/// two from drifting apart silently.
 using ShardMask = uint64_t;
 
 /// Routing ceiling shared by the partitioner, the snapshot loader, the

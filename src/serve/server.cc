@@ -247,10 +247,10 @@ void BoundServer::MaybeLogSlowQuery(
   }
   // Routing diagnostics ride after the quoted line (appended, so
   // prefix-matching consumers of existing records keep working).
-  char route_suffix[48] = "";
+  char route_suffix[24] = "";
   if (route != nullptr) {
-    std::snprintf(route_suffix, sizeof(route_suffix), " shards=%u idx_hit=%d",
-                  route->shards, route->index_used ? 1 : 0);
+    std::snprintf(route_suffix, sizeof(route_suffix), " shards=%u",
+                  route->shards);
   }
   MutexLock lock(slow_log_mu_);
   std::FILE* dest = slow_log_file_ != nullptr ? slow_log_file_ : stderr;
@@ -551,7 +551,6 @@ Status BoundServer::HandleStats(const ShardedBoundSolver& solver,
       << " single_shard=" << s.single_shard_queries
       << " multi_shard=" << s.multi_shard_queries
       << " no_shard=" << s.no_shard_queries
-      << " scatter=" << s.scatter_queries
       << " union_solvers=" << s.union_solvers_built
       << " num_cells=" << s.solve.num_cells
       << " sat_calls=" << s.solve.sat_calls
@@ -565,25 +564,11 @@ Status BoundServer::HandleStats(const ShardedBoundSolver& solver,
       << " coalesced_reqs=" << transport_.coalesced_requests.value()
       << " max_batch=" << transport_.max_batch.value()
       << " overload_rejects=" << transport_.overload_rejections.value();
-  // Routing-index shape + traffic split, appended at the end so
-  // existing prefix-matching consumers keep working.
+  // Routing-index shape, appended at the end so existing
+  // prefix-matching consumers keep working.
   const route::RouteIndexStats route_totals = solver.RouteIndexTotals();
-  const char* mode = "index";
-  switch (solver.options().route_mode) {
-    case route::RouteMode::kLinear:
-      mode = "linear";
-      break;
-    case route::RouteMode::kIndex:
-      mode = "index";
-      break;
-    case route::RouteMode::kVerify:
-      mode = "verify";
-      break;
-  }
-  out << " route_mode=" << mode << " route_nodes=" << route_totals.num_entries
-      << " route_depth=" << route_totals.depth
-      << " route_index=" << s.route_index_queries
-      << " route_fallback=" << s.route_fallback_queries << "\n";
+  out << " route_nodes=" << route_totals.num_entries
+      << " route_depth=" << route_totals.depth << "\n";
   return Status::OK();
 }
 

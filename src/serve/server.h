@@ -207,10 +207,9 @@ class BoundServer {
   /// the slow-query log. HandleLine calls it for every line; transports
   /// answering outside HandleLine (coalesced BOUNDs) call it per
   /// request with their own end-to-end timing. `route`, when non-null,
-  /// appends the query's routing diagnostics (`shards=K idx_hit=0|1`)
-  /// to its slow-query record — the first thing an operator wants to
-  /// know about a slow BOUND is how wide it fanned and whether the
-  /// compiled index dispatched it.
+  /// appends the query's routing fan-out (`shards=K`) to its
+  /// slow-query record — the first thing an operator wants to know
+  /// about a slow BOUND is how wide it fanned.
   void NoteRequestLatency(const std::string& verb, const std::string& line,
                           double us);
   void NoteRequestLatency(const std::string& verb, const std::string& line,

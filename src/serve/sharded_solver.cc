@@ -21,99 +21,6 @@ double MicrosSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Exact combine of per-shard ranges for a decomposable aggregate.
-/// Sound because shard regions are disjoint and shard constraints are
-/// independent: any tuple of per-shard instances composes into one
-/// valid instance of the whole set, and vice versa.
-ResultRange CombineShardRanges(AggFunc agg,
-                               const std::vector<ResultRange>& ranges) {
-  ResultRange out;
-  switch (agg) {
-    case AggFunc::kCount:
-    case AggFunc::kSum: {
-      // Totals add across disjoint shard regions.
-      out.defined = true;
-      out.empty_instance_possible = true;
-      for (const ResultRange& r : ranges) {
-        out.lo += r.lo;
-        out.hi += r.hi;
-        out.empty_instance_possible &= r.empty_instance_possible;
-      }
-      return out;
-    }
-    case AggFunc::kMax:
-    case AggFunc::kMin: {
-      // A shard that must host matching rows (empty impossible) but
-      // cannot (undefined) poisons the whole set: no valid instance has
-      // a matching row configuration at all.
-      bool poison = false, any_defined = false, any_mandatory = false;
-      bool empty_all = true;
-      for (const ResultRange& r : ranges) {
-        poison |= !r.defined && !r.empty_instance_possible;
-        any_defined |= r.defined;
-        any_mandatory |= !r.empty_instance_possible;
-        empty_all &= r.empty_instance_possible;
-      }
-      out.empty_instance_possible = empty_all;
-      if (poison || !any_defined) {
-        out.defined = false;
-        return out;
-      }
-      out.defined = true;
-      const bool is_max = agg == AggFunc::kMax;
-      // Extreme end: best achievable extreme over any single shard.
-      double best_extreme = 0.0;
-      bool have = false;
-      for (const ResultRange& r : ranges) {
-        if (!r.defined) continue;
-        const double v = is_max ? r.hi : r.lo;
-        if (!have || (is_max ? v > best_extreme : v < best_extreme)) {
-          best_extreme = v;
-          have = true;
-        }
-      }
-      // Conservative end (the least the MAX / the most the MIN can be,
-      // over instances with >= 1 matching row): mandatory shards each
-      // force their own extreme, and the binding one wins; if every
-      // shard may be empty, the single cheapest shard hosts the row.
-      double other_end = 0.0;
-      bool have_other = false;
-      if (any_mandatory) {
-        for (const ResultRange& r : ranges) {
-          if (r.empty_instance_possible) continue;
-          const double v = is_max ? r.lo : r.hi;
-          if (!have_other || (is_max ? v > other_end : v < other_end)) {
-            other_end = v;
-            have_other = true;
-          }
-        }
-      } else {
-        for (const ResultRange& r : ranges) {
-          if (!r.defined) continue;
-          const double v = is_max ? r.lo : r.hi;
-          if (!have_other || (is_max ? v < other_end : v > other_end)) {
-            other_end = v;
-            have_other = true;
-          }
-        }
-      }
-      PCX_CHECK(have && have_other);
-      if (is_max) {
-        out.hi = best_extreme;
-        out.lo = other_end;
-      } else {
-        out.lo = best_extreme;
-        out.hi = other_end;
-      }
-      return out;
-    }
-    case AggFunc::kAvg:
-      break;
-  }
-  PCX_CHECK(false) << "CombineShardRanges: non-decomposable aggregate";
-  return out;
-}
-
 }  // namespace
 
 ShardedBoundSolver::ShardedBoundSolver(PredicateConstraintSet pcs,
@@ -289,12 +196,6 @@ void ShardedBoundSolver::BuildShards(
       std::make_unique<const route::RouteIndex>(std::move(hulls), domains_);
 
   if (options_.metrics != nullptr) {
-    route_hits_ = &options_.metrics->GetCounter(
-        "pcx_route_index_hits_total", {},
-        "BOUND queries routed via the compiled route index");
-    route_fallbacks_ = &options_.metrics->GetCounter(
-        "pcx_route_index_fallbacks_total", {},
-        "BOUND queries routed by the linear scan (mode or index absent)");
     route_fanout_hist_ = &options_.metrics->GetHistogram(
         "pcx_route_fanout", {}, "shards per routed BOUND query");
     const route::RouteIndexStats totals = RouteIndexTotals();
@@ -310,8 +211,7 @@ void ShardedBoundSolver::BuildShards(
 }
 
 route::RouteIndexStats ShardedBoundSolver::RouteIndexTotals() const {
-  route::RouteIndexStats total;
-  if (hull_index_ != nullptr) total = hull_index_->stats();
+  route::RouteIndexStats total = hull_index_->stats();
   for (const Shard& shard : shards_) {
     const route::RouteIndex* idx =
         shard.solver != nullptr ? shard.solver->route_index() : nullptr;
@@ -645,23 +545,6 @@ ShardedBoundSolver::ApplyDeltas(std::span<const DeltaRecord> records) const {
       std::move(partition), epoch, reuse));
 }
 
-ShardMask ShardedBoundSolver::RouteMask(const AggQuery& query) const {
-  switch (options_.route_mode) {
-    case route::RouteMode::kLinear:
-      return RouteMaskLinear(query);
-    case route::RouteMode::kIndex:
-      return RouteMaskIndexed(query);
-    case route::RouteMode::kVerify: {
-      const ShardMask idx = RouteMaskIndexed(query);
-      const ShardMask lin = RouteMaskLinear(query);
-      PCX_CHECK_EQ(idx, lin)
-          << "compiled route index disagrees with the linear oracle";
-      return idx;
-    }
-  }
-  return RouteMaskLinear(query);
-}
-
 ShardMask ShardedBoundSolver::RouteMaskLinear(const AggQuery& query) const {
   ShardMask mask = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
@@ -685,7 +568,7 @@ ShardMask ShardedBoundSolver::RouteMaskLinear(const AggQuery& query) const {
   return mask;
 }
 
-ShardMask ShardedBoundSolver::RouteMaskIndexed(const AggQuery& query) const {
+ShardMask ShardedBoundSolver::RouteMask(const AggQuery& query) const {
   // No WHERE: every non-empty shard is relevant, exactly the bits the
   // linear scan's per-shard `!where` branch sets.
   if (!query.where.has_value()) return nonempty_mask_;
@@ -693,7 +576,6 @@ ShardMask ShardedBoundSolver::RouteMaskIndexed(const AggQuery& query) const {
   // Always-relevant shards bypass both hull and member tests, mirroring
   // the linear scan's ordering (it sets the bit before the hull test).
   ShardMask mask = always_mask_;
-  if (hull_index_ == nullptr) return RouteMaskLinear(query);
   // Stab the hull index: candidates are exactly the non-empty shards
   // whose hull intersects the WHERE box (the linear scan's hull test,
   // found in O(log K) instead of O(K)). Each candidate is confirmed
@@ -766,7 +648,7 @@ std::shared_ptr<const PcBoundSolver> ShardedBoundSolver::SolverFor(
 
 StatusOr<ResultRange> ShardedBoundSolver::BoundOne(
     const AggQuery& query, PcBoundSolver::SolveStats& stats,
-    ServeStats& local, bool parallel, RouteInfo* route) const {
+    ServeStats& local, RouteInfo* route) const {
   ++local.queries;
   // Mirrors the unsharded solver's up-front validation so a misrouted
   // query (e.g. one whose WHERE touches no shard) still fails the same
@@ -782,26 +664,13 @@ StatusOr<ResultRange> ShardedBoundSolver::BoundOne(
     TraceSpan route_span("route");
     mask = RouteMask(query);
   }
-  const bool index_used =
-      options_.route_mode != route::RouteMode::kLinear &&
-      hull_index_ != nullptr;
-  if (index_used) {
-    ++local.route_index_queries;
-    if (route_hits_ != nullptr) route_hits_->Increment();
-  } else {
-    ++local.route_fallback_queries;
-    if (route_fallbacks_ != nullptr) route_fallbacks_->Increment();
-  }
   const int bits = std::popcount(mask);
   if (route_fanout_hist_ != nullptr) {
     // Fan-out as routed (before the no-shard fallback below widens an
     // empty mask to one shard): the signal for partition selectivity.
     route_fanout_hist_->Observe(static_cast<double>(bits));
   }
-  if (route != nullptr) {
-    route->shards = static_cast<uint32_t>(bits);
-    route->index_used = index_used;
-  }
+  if (route != nullptr) route->shards = static_cast<uint32_t>(bits);
   if (bits == 0) {
     ++local.no_shard_queries;
     // No predicate can intersect the region, but the answer is still
@@ -818,11 +687,6 @@ StatusOr<ResultRange> ShardedBoundSolver::BoundOne(
     ++local.single_shard_queries;
   } else {
     ++local.multi_shard_queries;
-  }
-
-  if (options_.scatter_gather && bits >= 2 && query.agg != AggFunc::kAvg) {
-    ++local.scatter_queries;
-    return ScatterGather(query, mask, stats, parallel);
   }
 
   const std::shared_ptr<const PcBoundSolver> solver = SolverFor(mask);
@@ -846,67 +710,6 @@ StatusOr<ResultRange> ShardedBoundSolver::BoundOne(
   return result;
 }
 
-StatusOr<ResultRange> ShardedBoundSolver::ScatterGather(
-    const AggQuery& query, ShardMask mask, PcBoundSolver::SolveStats& stats,
-    bool parallel) const {
-  std::vector<size_t> targets;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if ((mask >> s) & 1) targets.push_back(s);
-  }
-  std::vector<StatusOr<ResultRange>> results(
-      targets.size(), StatusOr<ResultRange>(Status::Internal("unset")));
-  std::vector<PcBoundSolver::SolveStats> shard_stats(targets.size());
-
-  // Per-target timing feeds the per-shard histograms and the trace.
-  // The trace is read on this thread and appended after the join: pool
-  // workers carry no TraceContext of their own.
-  TraceContext* trace = CurrentTrace();
-  const bool timed = options_.metrics != nullptr || trace != nullptr;
-  std::vector<double> target_us(targets.size(), 0.0);
-
-  auto run_one = [&](size_t t) {
-    if (!timed) {
-      results[t] = shards_[targets[t]].solver->BoundWithStats(query,
-                                                              shard_stats[t]);
-      return;
-    }
-    const auto start = std::chrono::steady_clock::now();
-    results[t] = shards_[targets[t]].solver->BoundWithStats(query,
-                                                            shard_stats[t]);
-    target_us[t] = MicrosSince(start);
-  };
-  if (parallel && options_.num_threads != 1 && targets.size() > 1) {
-    // The pool lives for one query; never spin up more workers than
-    // there are shard solves to hand them.
-    const size_t width = options_.num_threads == 0
-                             ? targets.size()
-                             : std::min(options_.num_threads, targets.size());
-    ThreadPool pool(width);
-    pool.ParallelFor(targets.size(), run_one);
-  } else {
-    for (size_t t = 0; t < targets.size(); ++t) run_one(t);
-  }
-
-  // All shards ran; account for all of their work before surfacing the
-  // first failure (in shard order, deterministically) — operators read
-  // the counters precisely when something went wrong.
-  for (const PcBoundSolver::SolveStats& s : shard_stats) stats += s;
-  if (timed) {
-    for (size_t t = 0; t < targets.size(); ++t) {
-      Histogram* hist = shards_[targets[t]].solve_hist;
-      if (hist != nullptr) hist->Observe(target_us[t]);
-      if (trace != nullptr) trace->AddShardSolve(target_us[t]);
-    }
-  }
-  std::vector<ResultRange> ranges;
-  ranges.reserve(targets.size());
-  for (size_t t = 0; t < targets.size(); ++t) {
-    if (!results[t].ok()) return results[t].status();
-    ranges.push_back(*results[t]);
-  }
-  return CombineShardRanges(query.agg, ranges);
-}
-
 StatusOr<ResultRange> ShardedBoundSolver::Bound(const AggQuery& query) const {
   return Bound(query, nullptr);
 }
@@ -915,7 +718,7 @@ StatusOr<ResultRange> ShardedBoundSolver::Bound(const AggQuery& query,
                                                 RouteInfo* route) const {
   PcBoundSolver::SolveStats stats;
   ServeStats local;
-  auto result = BoundOne(query, stats, local, /*parallel=*/true, route);
+  auto result = BoundOne(query, stats, local, route);
   local.solve += stats;
   MergeServeStats(local);
   return result;
@@ -930,11 +733,8 @@ std::vector<StatusOr<ResultRange>> ShardedBoundSolver::BoundBatch(
   std::vector<ServeStats> locals(queries.size());
   std::vector<RouteInfo> routes(queries.size());
 
-  // Per-query scatter fan-out stays sequential inside a batch worker —
-  // the batch itself is the parallel axis (no nested pools).
   auto run_one = [&](size_t i) {
-    slots[i].emplace(BoundOne(queries[i], stats[i], locals[i],
-                              /*parallel=*/false, &routes[i]));
+    slots[i].emplace(BoundOne(queries[i], stats[i], locals[i], &routes[i]));
   };
   if (options_.num_threads == 1 || queries.size() <= 1) {
     for (size_t i = 0; i < queries.size(); ++i) run_one(i);

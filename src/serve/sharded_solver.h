@@ -47,16 +47,8 @@ namespace pcx {
 /// queries are built once and memoized. Batches and group-bys fan the
 /// per-query routing across a ThreadPool.
 ///
-/// An optional scatter-gather mode instead fans one COUNT/SUM/MIN/MAX
-/// query to every relevant shard and combines the per-shard ranges
-/// (sums for COUNT/SUM, envelope logic for MIN/MAX — exact because
-/// shards are constraint-independent and their regions disjoint). That
-/// skips union-solver construction and is how a multi-machine
-/// deployment would answer spanning queries, but the combine re-orders
-/// floating-point accumulation, so it is bit-identical only when the
-/// per-shard arithmetic is exact (e.g. integer-valued endpoints);
-/// otherwise it agrees to rounding. AVG does not decompose per shard
-/// and always takes the exact union route.
+/// Every BOUND takes one path: RouteMask (the compiled hull index plus
+/// each shard's member index) -> SolverFor(mask) -> BoundWithStats.
 class ShardedBoundSolver {
  public:
   struct Options {
@@ -68,25 +60,15 @@ class ShardedBoundSolver {
     /// disjoint, so a shard whose subset happens to be disjoint still
     /// runs the exact same code path as the unsharded solver.
     PcBoundSolver::Options solver;
-    /// Fan-out width for BoundBatch / BoundGroupBy / scatter-gather
-    /// (0 = hardware concurrency, 1 = sequential).
+    /// Fan-out width for BoundBatch / BoundGroupBy (0 = hardware
+    /// concurrency, 1 = sequential).
     size_t num_threads = 0;
-    /// Answer multi-shard COUNT/SUM/MIN/MAX queries by per-shard
-    /// fan-out + combine instead of a memoized union solve.
-    bool scatter_gather = false;
     /// When set, per-shard solve latencies are observed into
     /// `pcx_shard_solve_latency_us{shard=...}` histograms (the input
     /// signal for skew-aware repartitioning). Must outlive the solver
     /// and every ApplyDeltas successor. nullptr = no instrumentation,
     /// no clock reads on the solve path.
     MetricsRegistry* metrics = nullptr;
-    /// How RouteMask answers: the compiled O(log n) route index
-    /// (default), the O(n) linear scan it was compiled from, or both
-    /// with a PCX_CHECK that they agree bit for bit (the oracle mode
-    /// the equivalence tests and chaos runs pin). All three produce
-    /// identical masks — kIndex only changes the work done to find
-    /// them.
-    route::RouteMode route_mode = route::RouteMode::kIndex;
   };
 
   /// Cumulative serving counters (since construction; mutex-guarded).
@@ -95,10 +77,7 @@ class ShardedBoundSolver {
     size_t single_shard_queries = 0;  ///< routed to exactly one shard
     size_t multi_shard_queries = 0;   ///< needed a union of >= 2 shards
     size_t no_shard_queries = 0;      ///< WHERE intersects no predicate
-    size_t scatter_queries = 0;       ///< answered by per-shard combine
     size_t union_solvers_built = 0;   ///< distinct shard unions memoized
-    size_t route_index_queries = 0;   ///< routed via the compiled index
-    size_t route_fallback_queries = 0;  ///< routed by the linear scan
     PcBoundSolver::SolveStats solve;  ///< summed over all queries
 
     /// Counter merge (union_solvers_built included: only the global
@@ -108,10 +87,7 @@ class ShardedBoundSolver {
       single_shard_queries += other.single_shard_queries;
       multi_shard_queries += other.multi_shard_queries;
       no_shard_queries += other.no_shard_queries;
-      scatter_queries += other.scatter_queries;
       union_solvers_built += other.union_solvers_built;
-      route_index_queries += other.route_index_queries;
-      route_fallback_queries += other.route_fallback_queries;
       solve += other.solve;
       return *this;
     }
@@ -119,10 +95,9 @@ class ShardedBoundSolver {
 
   /// Per-query routing diagnostics, filled by the Bound(query, route)
   /// overload and BoundBatch's per-query vector — what the slow-query
-  /// log renders as `shards=K idx_hit=0|1`.
+  /// log renders as `shards=K`.
   struct RouteInfo {
-    uint32_t shards = 0;     ///< routed fan-out (pre no-shard fallback)
-    bool index_used = false;  ///< compiled index (vs. linear scan)
+    uint32_t shards = 0;  ///< routed fan-out (pre no-shard fallback)
   };
 
   ShardedBoundSolver(PredicateConstraintSet pcs,
@@ -181,8 +156,7 @@ class ShardedBoundSolver {
 
   /// GROUP BY fan-out: one routed sub-query per group value (built by
   /// MakeGroupByQueries, byte-identical to pc/group_by's). Under a
-  /// range-partitioned set the groups land on different shards — the
-  /// classic scatter of a distributed aggregate.
+  /// range-partitioned set the groups land on different shards.
   StatusOr<std::vector<GroupRange>> BoundGroupBy(
       const AggQuery& query, size_t group_attr,
       const std::vector<double>& group_values) const;
@@ -201,15 +175,14 @@ class ShardedBoundSolver {
   /// region (all non-empty shards when there is no WHERE). Degenerate
   /// empty-box predicates are treated as always relevant so the union
   /// keeps every constraint the unsharded solver would act on.
-  /// Dispatches on Options::route_mode; public so the routing tests and
-  /// bench can compare the implementations directly.
+  /// Stabs the compiled hull index with the WHERE box and confirms each
+  /// candidate shard via its member index; always bit-identical to
+  /// RouteMaskLinear.
   ShardMask RouteMask(const AggQuery& query) const;
-  /// The O(n) hull-then-member scan (the verification oracle).
+  /// The O(n) hull-then-member scan RouteMask was compiled from: the
+  /// reference the routing tests and bench compare against. Never on
+  /// the serving path.
   ShardMask RouteMaskLinear(const AggQuery& query) const;
-  /// The compiled-index dispatch: stab the hull index with the WHERE
-  /// box, confirm each candidate shard via its member index. Always
-  /// bit-identical to RouteMaskLinear.
-  ShardMask RouteMaskIndexed(const AggQuery& query) const;
 
   /// Aggregate shape of every compiled index (the hull index plus each
   /// shard solver's member index): what STATS/METRICS surface as
@@ -266,19 +239,11 @@ class ShardedBoundSolver {
   static constexpr size_t kMaxUnionSolvers = 256;
 
   /// Routing + solving of one query; thread-safe, stats via out-params.
-  /// `parallel` allows a scatter fan-out to spin its own pool (false
-  /// when already running inside a batch worker). `route`, when
-  /// non-null, receives the routing diagnostics.
+  /// `route`, when non-null, receives the routing diagnostics.
   StatusOr<ResultRange> BoundOne(const AggQuery& query,
                                  PcBoundSolver::SolveStats& stats,
-                                 ServeStats& local, bool parallel,
+                                 ServeStats& local,
                                  RouteInfo* route = nullptr) const;
-
-  /// Per-shard fan-out + combine (COUNT/SUM/MIN/MAX, >= 2 shards).
-  /// `parallel` is false when already running inside a batch worker.
-  StatusOr<ResultRange> ScatterGather(const AggQuery& query, ShardMask mask,
-                                      PcBoundSolver::SolveStats& stats,
-                                      bool parallel) const;
 
   void MergeServeStats(const ServeStats& local) const;
 
@@ -310,10 +275,8 @@ class ShardedBoundSolver {
   std::vector<uint32_t> hull_shard_;
   ShardMask nonempty_mask_ = 0;  ///< shards with at least one member
   ShardMask always_mask_ = 0;    ///< non-empty shards, always_relevant
-  /// Registry-backed routing series (null when Options::metrics is
-  /// null): hit/fallback counters and the per-query fan-out histogram.
-  Counter* route_hits_ = nullptr;
-  Counter* route_fallbacks_ = nullptr;
+  /// Registry-backed per-query fan-out histogram (null when
+  /// Options::metrics is null).
   Histogram* route_fanout_hist_ = nullptr;
 
   /// Two locks, not one: under concurrent serving sessions every query

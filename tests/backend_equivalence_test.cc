@@ -22,6 +22,7 @@
 #include "serve/event_loop.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
+#include "test_paths.h"
 
 namespace pcx {
 namespace {
@@ -127,7 +128,7 @@ void ExpectSameAnswer(const StatusOr<ResultRange>& expected,
 
 std::string WritePcSetFile(const PredicateConstraintSet& pcs,
                            const std::string& name) {
-  const std::string path = testing::TempDir() + "/" + name;
+  const std::string path = TestTempPath(name);
   std::ofstream out(path);
   out << SerializePcSet(pcs);
   return path;
@@ -139,7 +140,7 @@ std::string WriteSnapshotFile(const PredicateConstraintSet& pcs,
   const Partition partition =
       PartitionPcSet(pcs, {}, {shards, PartitionStrategy::kAttributeRange});
   const Snapshot snap = MakeSnapshot(pcs, {}, partition, epoch);
-  const std::string path = testing::TempDir() + "/" + name;
+  const std::string path = TestTempPath(name);
   PCX_CHECK(WriteSnapshot(snap, path).ok());
   return path;
 }

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "pc/bound_solver.h"
 #include "pc/combine.h"
 
 namespace pcx {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Schema: attr 0 = utc (hours since Nov-11 00:00), attr 1 = price.
 PredicateConstraint SalesPc(double utc_lo, double utc_hi, double price_lo,
@@ -125,6 +129,45 @@ TEST(BoundSolverTest, AvgWithZeroLowerFrequencies) {
   EXPECT_NEAR(range->hi, 40.0, 1e-4);
   EXPECT_NEAR(range->lo, 10.0, 1e-4);
   EXPECT_TRUE(range->empty_instance_possible);
+}
+
+/// One PC: pred {0:[0,10]}, values {1:[v_lo,v_hi]}, freq [1,5].
+PredicateConstraintSet OneValuePc(double v_lo, double v_hi) {
+  Predicate pred(2);
+  pred.AddRange(0, 0.0, 10.0);
+  Box values(2);
+  values.Constrain(1, Interval::Closed(v_lo, v_hi));
+  PredicateConstraintSet pcs;
+  pcs.Add(PredicateConstraint(pred, values, {1, 5}));
+  return pcs;
+}
+
+// One row of value 10.3 is a valid instance, so AVG can be 10.3. The
+// ratio search starts its bracket at -1e18 for an unbounded value; its
+// feasible end stops about 0.9 short of the optimum, so only the
+// infeasible end is a hard upper bound.
+TEST(BoundSolverTest, AvgUpperEndIsHardWithUnboundedValues) {
+  PcBoundSolver solver(OneValuePc(-kInf, 10.3));
+  const auto range = solver.Bound(AggQuery::Avg(1));
+  ASSERT_TRUE(range.ok());
+  EXPECT_GE(range->hi, 10.3);
+  const auto max = solver.Bound(AggQuery::Max(1));
+  ASSERT_TRUE(max.ok());
+  EXPECT_LE(range->hi, max->hi + 1.0);
+}
+
+TEST(BoundSolverTest, AvgLowerEndIsHardWithUnboundedValues) {
+  PcBoundSolver solver(OneValuePc(-10.3, kInf));
+  const auto range = solver.Bound(AggQuery::Avg(1));
+  ASSERT_TRUE(range.ok());
+  EXPECT_LE(range->lo, -10.3);
+}
+
+TEST(BoundSolverTest, AvgUpperEndIsHardWithWideValues) {
+  PcBoundSolver solver(OneValuePc(-1e12, 10.3));
+  const auto range = solver.Bound(AggQuery::Avg(1));
+  ASSERT_TRUE(range.ok());
+  EXPECT_GE(range->hi, 10.3);
 }
 
 TEST(BoundSolverTest, MinMaxBounds) {

@@ -28,6 +28,7 @@
 #include "serve/event_loop.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
+#include "test_paths.h"
 
 namespace pcx {
 namespace {
@@ -72,7 +73,7 @@ std::string WriteEpochSnapshot(uint64_t epoch, const std::string& tag) {
       PartitionPcSet(pcs, domains, {2, PartitionStrategy::kAttributeRange});
   const Snapshot snap = MakeSnapshot(pcs, domains, p, epoch);
   const std::string path =
-      testing::TempDir() + "/concurrent_" + tag + ".pcxsnap";
+      TestTempPath("concurrent_" + tag + ".pcxsnap");
   PCX_CHECK(WriteSnapshot(snap, path).ok());
   return path;
 }

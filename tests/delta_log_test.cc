@@ -28,6 +28,7 @@
 #include "serve/server.h"
 #include "serve/sharded_solver.h"
 #include "serve/snapshot.h"
+#include "test_paths.h"
 
 namespace pcx {
 namespace {
@@ -68,7 +69,7 @@ Snapshot SensorSnapshot(uint64_t epoch) {
 
 /// A fresh, empty directory under the test tmpdir.
 std::string FreshDir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/delta_log_" + name;
+  const std::string dir = TestTempPath("delta_log_" + name);
   std::filesystem::remove_all(dir);
   return dir;
 }

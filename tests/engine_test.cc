@@ -11,6 +11,7 @@
 #include "pc/serialization.h"
 #include "serve/partitioner.h"
 #include "serve/snapshot.h"
+#include "test_paths.h"
 
 namespace pcx {
 namespace {
@@ -37,7 +38,7 @@ PredicateConstraintSet SalesSet() {
 
 std::string WritePcSetFile(const PredicateConstraintSet& pcs,
                            const std::string& name) {
-  const std::string path = testing::TempDir() + "/" + name;
+  const std::string path = TestTempPath(name);
   std::ofstream out(path);
   out << SerializePcSet(pcs);
   return path;
@@ -49,7 +50,7 @@ std::string WriteSnapshotFile(const PredicateConstraintSet& pcs,
   const Partition partition =
       PartitionPcSet(pcs, {}, {shards, PartitionStrategy::kAttributeRange});
   const Snapshot snap = MakeSnapshot(pcs, {}, partition, epoch);
-  const std::string path = testing::TempDir() + "/" + name;
+  const std::string path = TestTempPath(name);
   PCX_CHECK(WriteSnapshot(snap, path).ok());
   return path;
 }
@@ -127,6 +128,10 @@ TEST(EngineTest, OpenReportsTypedErrors) {
   auto bad_shards = Engine::Open("snapshot:" + snap + "?shards=65");
   ASSERT_FALSE(bad_shards.ok());
   EXPECT_EQ(bad_shards.status().code(), StatusCode::kOutOfRange);
+  // There is no per-shard combine mode to select.
+  auto scatter = Engine::Open("snapshot:" + snap + "?scatter=1");
+  ASSERT_FALSE(scatter.ok());
+  EXPECT_EQ(scatter.status().code(), StatusCode::kInvalidArgument);
   // Nothing listening -> Unavailable.
   auto refused = Engine::Open("tcp:127.0.0.1:1");
   ASSERT_FALSE(refused.ok());

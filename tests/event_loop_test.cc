@@ -41,6 +41,7 @@
 #include "serve/event_loop.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
+#include "test_paths.h"
 
 namespace pcx {
 namespace {
@@ -73,7 +74,7 @@ std::string WriteTestSnapshot(const std::string& tag) {
       PartitionPcSet(pcs, domains, {2, PartitionStrategy::kAttributeRange});
   const Snapshot snap = MakeSnapshot(pcs, domains, p, 1);
   const std::string path =
-      testing::TempDir() + "/event_loop_" + tag + ".pcxsnap";
+      TestTempPath("event_loop_" + tag + ".pcxsnap");
   PCX_CHECK(WriteSnapshot(snap, path).ok());
   return path;
 }
@@ -214,7 +215,7 @@ TEST(EventLoopTest, CoalescesBoundsAcrossConnections) {
 
   // Hold the one worker busy: a LOAD from a FIFO blocks in open() until
   // the test writes the snapshot into it.
-  const std::string fifo = testing::TempDir() + "/event_loop_coalesce.fifo";
+  const std::string fifo = TestTempPath("event_loop_coalesce.fifo");
   ::unlink(fifo.c_str());
   ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
   const int loader = RawConnect(server.port());
@@ -270,8 +271,8 @@ TEST(EventLoopTest, FreeWorkerTakesItsShareOfTheBacklog) {
   std::vector<std::string> fifos;
   std::vector<int> loaders;
   for (int i = 0; i < 2; ++i) {
-    fifos.push_back(testing::TempDir() + "/event_loop_share" +
-                    std::to_string(i) + ".fifo");
+    fifos.push_back(TestTempPath("event_loop_share" + std::to_string(i) +
+                                 ".fifo"));
     ::unlink(fifos.back().c_str());
     ASSERT_EQ(::mkfifo(fifos.back().c_str(), 0600), 0);
     loaders.push_back(RawConnect(server.port()));

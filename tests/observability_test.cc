@@ -27,6 +27,7 @@
 #include <unistd.h>
 
 #include "serve/event_loop.h"
+#include "test_paths.h"
 #endif
 
 namespace pcx {
@@ -60,7 +61,7 @@ std::string WriteTestSnapshot(const std::string& tag) {
       PartitionPcSet(pcs, domains, {2, PartitionStrategy::kAttributeRange});
   const Snapshot snap = MakeSnapshot(pcs, domains, p, 1);
   const std::string path =
-      testing::TempDir() + "/observability_" + tag + ".pcxsnap";
+      TestTempPath("observability_" + tag + ".pcxsnap");
   PCX_CHECK(WriteSnapshot(snap, path).ok());
   return path;
 }
@@ -208,7 +209,7 @@ TEST(TraceTest, WithoutSessionStateIsATypedError) {
 }
 
 TEST(SlowQueryLogTest, WritesStructuredRecordsToFile) {
-  const std::string log_path = testing::TempDir() + "/slow_query_test.log";
+  const std::string log_path = TestTempPath("slow_query_test.log");
   std::remove(log_path.c_str());
   {
     BoundServer::Options options;
@@ -238,7 +239,7 @@ TEST(SlowQueryLogTest, WritesStructuredRecordsToFile) {
 }
 
 TEST(SlowQueryLogTest, ThresholdZeroDisablesTheLog) {
-  const std::string log_path = testing::TempDir() + "/slow_query_off.log";
+  const std::string log_path = TestTempPath("slow_query_off.log");
   std::remove(log_path.c_str());
   {
     BoundServer::Options options;

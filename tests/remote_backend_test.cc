@@ -10,6 +10,7 @@
 #include "serve/event_loop.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
+#include "test_paths.h"
 
 namespace pcx {
 namespace {
@@ -43,7 +44,7 @@ std::string WriteSensorSnapshot(uint64_t epoch) {
   const Partition p =
       PartitionPcSet(pcs, domains, {2, PartitionStrategy::kAttributeRange});
   const Snapshot snap = MakeSnapshot(pcs, domains, p, epoch);
-  const std::string path = testing::TempDir() + "/remote_test.pcxsnap";
+  const std::string path = TestTempPath("remote_test.pcxsnap");
   PCX_CHECK(WriteSnapshot(snap, path).ok());
   return path;
 }

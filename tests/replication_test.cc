@@ -28,6 +28,7 @@
 #include "serve/server.h"
 #include "serve/sharded_solver.h"
 #include "serve/snapshot.h"
+#include "test_paths.h"
 
 namespace pcx {
 namespace {
@@ -209,7 +210,7 @@ std::string WriteTempSnapshot(const PredicateConstraintSet& pcs,
       pcs, Domains(), {2, PartitionStrategy::kAttributeRange});
   const Snapshot snap = MakeSnapshot(pcs, Domains(), p, epoch);
   const std::string path =
-      testing::TempDir() + "/replication_" + tag + ".pcxsnap";
+      TestTempPath("replication_" + tag + ".pcxsnap");
   PCX_CHECK(WriteSnapshot(snap, path).ok());
   return path;
 }

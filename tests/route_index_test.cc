@@ -20,6 +20,7 @@
 #include "serve/server.h"
 #include "serve/sharded_solver.h"
 #include "serve/snapshot.h"
+#include "test_paths.h"
 
 namespace pcx {
 namespace {
@@ -212,8 +213,8 @@ TEST(RouteIndexTest, StatsDescribeCompiledShape) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded level: RouteMaskIndexed vs RouteMaskLinear on random corpora,
-// and kVerify-mode solves (which PCX_CHECK the two agree on every query).
+// Sharded level: RouteMask vs the RouteMaskLinear reference on random
+// corpora, and solves through the same routing.
 // ---------------------------------------------------------------------------
 
 /// Clustered random corpus mirroring sharded_solver_test's: `clusters`
@@ -292,15 +293,14 @@ TEST(ShardedRoutingTest, IndexedMaskBitIdenticalToLinearOracle) {
                                          PartitionStrategy::kAttributeRange}) {
         ShardedBoundSolver::Options opts;
         opts.partition = {k, strategy};
-        opts.route_mode = route::RouteMode::kVerify;
         const ShardedBoundSolver sharded(pcs, {}, opts);
         for (size_t qi = 0; qi < queries.size(); ++qi) {
-          const ShardMask indexed = sharded.RouteMaskIndexed(queries[qi]);
+          const ShardMask indexed = sharded.RouteMask(queries[qi]);
           const ShardMask linear = sharded.RouteMaskLinear(queries[qi]);
           EXPECT_EQ(indexed, linear)
               << "trial " << trial << " k=" << k << " strategy="
               << static_cast<int>(strategy) << " query " << qi;
-          // kVerify mode re-checks inside the solve path itself.
+          // The solve path routes through the same mask.
           EXPECT_TRUE(sharded.Bound(queries[qi]).ok()) << qi;
         }
       }
@@ -311,13 +311,13 @@ TEST(ShardedRoutingTest, IndexedMaskBitIdenticalToLinearOracle) {
 TEST(ShardedRoutingTest, IndexModeAnswersBitIdenticalToLinearMode) {
   Rng rng(31337);
   const PredicateConstraintSet pcs = RandomClusteredSet(rng, 4);
+  // No member index: shards confirm a hull hit with the linear member
+  // scan, and the solvers scan every constraint.
   ShardedBoundSolver::Options linear_opts;
   linear_opts.partition = {4, PartitionStrategy::kAttributeRange};
-  linear_opts.route_mode = route::RouteMode::kLinear;
-  linear_opts.solver.use_route_index = false;  // pure pre-PR pipeline
-  ShardedBoundSolver::Options index_opts = linear_opts;
-  index_opts.route_mode = route::RouteMode::kIndex;
-  index_opts.solver.use_route_index = true;
+  linear_opts.solver.use_route_index = false;
+  ShardedBoundSolver::Options index_opts;
+  index_opts.partition = linear_opts.partition;
   const ShardedBoundSolver linear(pcs, {}, linear_opts);
   const ShardedBoundSolver indexed(pcs, {}, index_opts);
 
@@ -334,9 +334,7 @@ TEST(ShardedRoutingTest, IndexModeAnswersBitIdenticalToLinearMode) {
       EXPECT_EQ(a->empty_instance_possible, b->empty_instance_possible);
     }
   }
-  const auto stats = indexed.stats();
-  EXPECT_GT(stats.route_index_queries, 0u);
-  EXPECT_EQ(stats.route_fallback_queries, 0u);
+  EXPECT_GT(indexed.stats().queries, 0u);
   EXPECT_GT(indexed.RouteIndexTotals().num_entries, 0u);
 }
 
@@ -379,7 +377,6 @@ TEST(ShardedRoutingTest, DeltaSequencesKeepIndexEquivalentToOracle) {
     const size_t clusters = 3;
     ShardedBoundSolver::Options opts;
     opts.partition = {3, PartitionStrategy::kAttributeRange};
-    opts.route_mode = route::RouteMode::kVerify;
     auto solver = std::make_shared<const ShardedBoundSolver>(
         RandomClusteredSet(rng, clusters), std::vector<AttrDomain>{}, opts);
 
@@ -415,15 +412,16 @@ TEST(ShardedRoutingTest, DeltaSequencesKeepIndexEquivalentToOracle) {
 
       Rng qrng(static_cast<uint64_t>(trial) * 100 + step);
       for (const AggQuery& q : RoutingQueryPanel(clusters, qrng)) {
-        EXPECT_EQ(solver->RouteMaskIndexed(q), solver->RouteMaskLinear(q))
+        EXPECT_EQ(solver->RouteMask(q), solver->RouteMaskLinear(q))
             << "trial " << trial << " step " << step;
-        EXPECT_TRUE(solver->Bound(q).ok());  // kVerify cross-check
+        EXPECT_TRUE(solver->Bound(q).ok());
       }
       // The successor must also agree with a from-scratch build over
       // the same surviving set.
       const ShardedBoundSolver fresh(solver->constraints(), {}, opts);
       Rng qrng2(static_cast<uint64_t>(trial) * 100 + step);
       for (const AggQuery& q : RoutingQueryPanel(clusters, qrng2)) {
+        EXPECT_EQ(fresh.RouteMask(q), fresh.RouteMaskLinear(q));
         const auto a = fresh.Bound(q);
         const auto b = solver->Bound(q);
         ASSERT_EQ(a.ok(), b.ok());
@@ -467,7 +465,6 @@ TEST(ShardedRoutingTest, CheckpointTightensHullsLeftStaleByRetire) {
   }
   ShardedBoundSolver::Options opts;
   opts.partition = {2, PartitionStrategy::kAttributeRange};
-  opts.route_mode = route::RouteMode::kVerify;
   const ShardedBoundSolver base(pcs, {}, opts);
   EXPECT_EQ(base.num_shards(), 2u);
 
@@ -488,7 +485,7 @@ TEST(ShardedRoutingTest, CheckpointTightensHullsLeftStaleByRetire) {
   // Pre-checkpoint: the merged shard drags cluster B along.
   const auto stale_sel = SelectedPcs(**merged, (*merged)->RouteMask(q));
   EXPECT_GT(stale_sel.size(), fresh_sel.size());
-  EXPECT_EQ((*merged)->RouteMaskIndexed(q), (*merged)->RouteMaskLinear(q));
+  EXPECT_EQ((*merged)->RouteMask(q), (*merged)->RouteMaskLinear(q));
 
   // Post-checkpoint: bit-for-bit the from-scratch mask and selection.
   auto ckpt = (*merged)->ApplyDeltas(
@@ -496,6 +493,7 @@ TEST(ShardedRoutingTest, CheckpointTightensHullsLeftStaleByRetire) {
   ASSERT_TRUE(ckpt.ok()) << ckpt.status().ToString();
   EXPECT_EQ((*ckpt)->num_shards(), 2u);
   EXPECT_EQ((*ckpt)->RouteMask(q), fresh.RouteMask(q));
+  EXPECT_EQ((*ckpt)->RouteMask(q), (*ckpt)->RouteMaskLinear(q));
   EXPECT_EQ(SelectedPcs(**ckpt, (*ckpt)->RouteMask(q)), fresh_sel);
   // And the answers are unchanged throughout.
   const auto a = fresh.Bound(q);
@@ -506,9 +504,9 @@ TEST(ShardedRoutingTest, CheckpointTightensHullsLeftStaleByRetire) {
 }
 
 // ---------------------------------------------------------------------------
-// Transport level: a server routed by the index answers byte-identical
-// replies to one routed by the linear oracle, and the index shows up in
-// STATS and METRICS.
+// Transport level: a server whose shards carry member indexes answers
+// byte-identical replies to one whose shards scan their members, and
+// the index shows up in STATS and METRICS.
 // ---------------------------------------------------------------------------
 
 std::string WriteRoutingSnapshot() {
@@ -519,7 +517,7 @@ std::string WriteRoutingSnapshot() {
   const Partition p =
       PartitionPcSet(pcs, domains, {3, PartitionStrategy::kAttributeRange});
   const Snapshot snap = MakeSnapshot(pcs, domains, p, 7);
-  const std::string path = testing::TempDir() + "/route_index_test.pcxsnap";
+  const std::string path = TestTempPath("route_index_test.pcxsnap");
   PCX_CHECK(WriteSnapshot(snap, path).ok());
   return path;
 }
@@ -533,17 +531,11 @@ std::string Reply(BoundServer& server, const std::string& line) {
 TEST(RoutingTransportTest, ServerRepliesByteIdenticalAcrossRouteModes) {
   const std::string path = WriteRoutingSnapshot();
   BoundServer::Options linear_opts;
-  linear_opts.solver.route_mode = route::RouteMode::kLinear;
-  BoundServer::Options index_opts;
-  index_opts.solver.route_mode = route::RouteMode::kIndex;
-  BoundServer::Options verify_opts;
-  verify_opts.solver.route_mode = route::RouteMode::kVerify;
+  linear_opts.solver.solver.use_route_index = false;
   BoundServer linear(linear_opts);
-  BoundServer indexed(index_opts);
-  BoundServer verified(verify_opts);
+  BoundServer indexed(BoundServer::Options{});
   ASSERT_EQ(Reply(linear, "LOAD " + path).rfind("OK ", 0), 0u);
   ASSERT_EQ(Reply(indexed, "LOAD " + path).rfind("OK ", 0), 0u);
-  ASSERT_EQ(Reply(verified, "LOAD " + path).rfind("OK ", 0), 0u);
 
   const std::vector<std::string> lines = {
       "BOUND COUNT 0",
@@ -557,22 +549,13 @@ TEST(RoutingTransportTest, ServerRepliesByteIdenticalAcrossRouteModes) {
   for (const std::string& line : lines) {
     const std::string want = Reply(linear, line);
     EXPECT_EQ(Reply(indexed, line), want) << line;
-    EXPECT_EQ(Reply(verified, line), want) << line;
   }
 
   const std::string stats = Reply(indexed, "STATS");
-  EXPECT_NE(stats.find(" route_mode=index"), std::string::npos) << stats;
   EXPECT_NE(stats.find(" route_nodes="), std::string::npos) << stats;
   EXPECT_NE(stats.find(" route_depth="), std::string::npos) << stats;
-  EXPECT_NE(stats.find(" route_index="), std::string::npos) << stats;
-  EXPECT_EQ(stats.find(" route_index=0 "), std::string::npos) << stats;
-  EXPECT_NE(Reply(linear, "STATS").find(" route_mode=linear"),
-            std::string::npos);
-  EXPECT_NE(Reply(verified, "STATS").find(" route_mode=verify"),
-            std::string::npos);
 
   const std::string metrics = indexed.metrics().Exposition();
-  EXPECT_NE(metrics.find("pcx_route_index_hits_total"), std::string::npos);
   EXPECT_NE(metrics.find("pcx_route_index_nodes"), std::string::npos);
   EXPECT_NE(metrics.find("pcx_route_fanout"), std::string::npos);
 }

@@ -28,6 +28,7 @@
 #include "serve/event_loop.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
+#include "test_paths.h"
 
 namespace pcx {
 namespace {
@@ -70,7 +71,7 @@ std::string WriteFaultSnapshot() {
   const Partition p =
       PartitionPcSet(pcs, domains, {2, PartitionStrategy::kAttributeRange});
   const Snapshot snap = MakeSnapshot(pcs, domains, p, 1);
-  const std::string path = testing::TempDir() + "/serve_fault.pcxsnap";
+  const std::string path = TestTempPath("serve_fault.pcxsnap");
   PCX_CHECK(WriteSnapshot(snap, path).ok());
   return path;
 }

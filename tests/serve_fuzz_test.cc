@@ -29,6 +29,7 @@
 #include "serve/event_loop.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
+#include "test_paths.h"
 
 namespace pcx {
 namespace {
@@ -68,7 +69,7 @@ std::string WriteFuzzSnapshot() {
   const Partition p =
       PartitionPcSet(pcs, domains, {2, PartitionStrategy::kAttributeRange});
   const Snapshot snap = MakeSnapshot(pcs, domains, p, 1);
-  const std::string path = testing::TempDir() + "/serve_fuzz.pcxsnap";
+  const std::string path = TestTempPath("serve_fuzz.pcxsnap");
   PCX_CHECK(WriteSnapshot(snap, path).ok());
   return path;
 }

@@ -6,6 +6,7 @@
 
 #include "pc/serialization.h"
 #include "serve/snapshot.h"
+#include "test_paths.h"
 
 namespace pcx {
 namespace {
@@ -42,7 +43,7 @@ std::string WriteSensorSnapshot(uint64_t epoch) {
   const Partition p =
       PartitionPcSet(pcs, domains, {2, PartitionStrategy::kAttributeRange});
   const Snapshot snap = MakeSnapshot(pcs, domains, p, epoch);
-  const std::string path = testing::TempDir() + "/server_test.pcxsnap";
+  const std::string path = TestTempPath("server_test.pcxsnap");
   PCX_CHECK(WriteSnapshot(snap, path).ok());
   return path;
 }

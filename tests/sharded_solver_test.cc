@@ -26,8 +26,7 @@ bool BitIdentical(double a, double b) {
 /// Randomized PC set over 2 attributes: `clusters` overlap components,
 /// each a cluster of 1..4 mutually overlapping boxes placed far from
 /// the other clusters, with value ranges on attribute 1 and occasional
-/// mandatory frequencies. `integral` snaps every endpoint to integers
-/// (for scatter-gather exactness tests).
+/// mandatory frequencies. `integral` snaps every endpoint to integers.
 PredicateConstraintSet RandomSet(Rng& rng, size_t clusters, bool integral) {
   PredicateConstraintSet pcs;
   for (size_t c = 0; c < clusters; ++c) {
@@ -197,77 +196,6 @@ TEST(ShardedSolverTest, GroupByMatchesUnsharded) {
   ASSERT_FALSE(bad_expected.ok());
   ASSERT_FALSE(bad_actual.ok());
   EXPECT_EQ(bad_expected.status().code(), bad_actual.status().code());
-}
-
-TEST(ShardedSolverTest, ScatterGatherExactOnIntegralDisjointSets) {
-  // Pairwise-disjoint integer-valued set: per-shard greedy sums are
-  // exact integer arithmetic, so even the re-associated scatter combine
-  // is bit-identical to the unsharded answer.
-  PredicateConstraintSet pcs;
-  for (int i = 0; i < 12; ++i) {
-    Predicate pred(2);
-    pred.AddRange(0, 100.0 * i, 100.0 * i + 50.0);
-    Box values(2);
-    values.Constrain(1, Interval::Closed(-5.0 + i, 5.0 + 2.0 * i));
-    const double k_lo = i % 3 == 0 ? 2.0 : 0.0;
-    pcs.Add(PredicateConstraint(pred, values,
-                                {k_lo, k_lo + 4.0 + (i % 5)}));
-  }
-  const PcBoundSolver reference(pcs, {});
-
-  ShardedBoundSolver::Options opts;
-  opts.partition = {4, PartitionStrategy::kAttributeRange};
-  opts.scatter_gather = true;
-  const ShardedBoundSolver sharded(pcs, {}, opts);
-
-  Predicate wide(2);
-  wide.AddRange(0, 0.0, 1200.0);  // spans all shards
-  Predicate partial(2);
-  partial.AddRange(0, 120.0, 790.0);  // cuts across several shards
-  for (const Predicate& where : {wide, partial}) {
-    for (AggFunc agg :
-         {AggFunc::kCount, AggFunc::kSum, AggFunc::kMin, AggFunc::kMax}) {
-      const AggQuery q{agg, 1, where};
-      ExpectSameAnswer(reference.Bound(q), sharded.Bound(q),
-                       "scatter agg " + std::to_string(static_cast<int>(agg)));
-    }
-  }
-  EXPECT_GT(sharded.stats().scatter_queries, 0u);
-
-  // AVG does not decompose: it must take the exact union route and
-  // still agree bitwise.
-  const AggQuery avg{AggFunc::kAvg, 1, wide};
-  ExpectSameAnswer(reference.Bound(avg), sharded.Bound(avg), "scatter avg");
-}
-
-TEST(ShardedSolverTest, ScatterGatherSoundOnContinuousSets) {
-  // With arbitrary double endpoints the combine may differ in the last
-  // ulps from the unsharded answer; it must still agree to tolerance.
-  Rng rng(77);
-  const PredicateConstraintSet pcs = RandomSet(rng, 4, /*integral=*/false);
-  const PcBoundSolver reference(pcs, {});
-  ShardedBoundSolver::Options opts;
-  opts.partition = {4, PartitionStrategy::kAttributeRange};
-  opts.scatter_gather = true;
-  const ShardedBoundSolver sharded(pcs, {}, opts);
-
-  Predicate wide(2);
-  wide.AddRange(0, 0.0, 5000.0);
-  for (AggFunc agg :
-       {AggFunc::kCount, AggFunc::kSum, AggFunc::kMin, AggFunc::kMax}) {
-    const AggQuery q{agg, 1, wide};
-    const auto expected = reference.Bound(q);
-    const auto actual = sharded.Bound(q);
-    ASSERT_EQ(expected.ok(), actual.ok());
-    if (!expected.ok()) continue;
-    EXPECT_NEAR(expected->lo, actual->lo,
-                1e-6 * (1.0 + std::fabs(expected->lo)));
-    EXPECT_NEAR(expected->hi, actual->hi,
-                1e-6 * (1.0 + std::fabs(expected->hi)));
-    EXPECT_EQ(expected->defined, actual->defined);
-    EXPECT_EQ(expected->empty_instance_possible,
-              actual->empty_instance_possible);
-  }
 }
 
 TEST(ShardedSolverTest, RoutingStatsAndUnionMemoization) {

@@ -7,6 +7,7 @@
 
 #include "pc/bound_solver.h"
 #include "pc/serialization.h"
+#include "test_paths.h"
 
 namespace pcx {
 namespace {
@@ -69,7 +70,7 @@ TEST(SnapshotTest, SerializeParseRoundTrip) {
 }
 
 TEST(SnapshotTest, WriteLoadFileRoundTripAndBitIdenticalBounds) {
-  const std::string path = testing::TempDir() + "/snapshot_test.pcxsnap";
+  const std::string path = TestTempPath("snapshot_test.pcxsnap");
   const Snapshot snap = SampleSnapshot(2, 7);
   ASSERT_TRUE(WriteSnapshot(snap, path).ok());
   auto loaded = LoadSnapshot(path);

@@ -53,7 +53,6 @@ struct Flags {
   size_t threads = 0;
   size_t serve_threads = 4;  // TCP solver-pool workers
   int backlog = pcx::EventLoopListener::kDefaultBacklog;
-  bool scatter_gather = false;
   bool persistent_sat_cache = true;  // serving wants the cross-query cache
   size_t serve_clients = 0;          // exit after N TCP sessions (0 = forever)
   size_t max_queue = 1024;           // TCP admission cap (global)
@@ -63,7 +62,6 @@ struct Flags {
   unsigned long sync_ms = 200;       // replica poll cadence
   unsigned long long slow_query_us = 0;  // slow-query log threshold (0 = off)
   std::string log_file;              // slow-query log sink (empty = stderr)
-  std::string route = "index";       // RouteMask mode: index|linear|verify
 
   bool build_snapshot = false;
   std::string pcset;
@@ -91,7 +89,7 @@ void Usage() {
       "  pcx_serve [--snapshot=PATH] [--port=N] [--threads=N]\n"
       "            [--serve-threads=N] [--backlog=N] [--serve-clients=N]\n"
       "            [--max-queue=N] [--max-conn-pending=N]\n"
-      "            [--scatter-gather] [--no-sat-cache] [--serve-once]\n"
+      "            [--no-sat-cache] [--serve-once]\n"
       "    Without --port, speaks the protocol on stdin/stdout.\n"
       "    Without --snapshot, waits for a LOAD command.\n"
       "    --port=0 binds an ephemeral port and prints 'PORT <n>' on\n"
@@ -101,6 +99,8 @@ void Usage() {
       "    free, and overload is answered with ERR UNAVAILABLE. Stdio\n"
       "    serving works everywhere.\n"
       "    --serve-threads=N sizes the solver pool (default 4);\n"
+      "    --threads=N sets a batch's fan-out width (0 = hardware\n"
+      "    concurrency, 1 = sequential);\n"
       "    --max-queue=N / --max-conn-pending=N set the admission caps\n"
       "    (defaults 1024/64); --backlog=N sets the listen(2) queue\n"
       "    depth; --serve-clients=N exits after N sessions\n"
@@ -115,9 +115,6 @@ void Usage() {
       "    (--sync-ms=N sets the poll cadence, default 200).\n"
       "    --slow-query-us=N logs a structured record for every request\n"
       "    slower than N microseconds (to stderr, or --log-file=PATH).\n"
-      "    --route=index|linear|verify picks the RouteMask dispatch:\n"
-      "    the compiled O(log n) route index (default), the O(n) linear\n"
-      "    oracle, or both cross-checked per query (chaos/debug).\n"
       "    METRICS returns Prometheus text exposition; TRACE ON appends\n"
       "    '#trace ...' stage timings after each reply (per session).\n\n"
       "Client mode:\n"
@@ -415,10 +412,6 @@ int main(int argc, char** argv) {
       flags.slow_query_us = std::strtoull(value.c_str(), nullptr, 10);
     } else if (ParseFlag(arg, "log-file", &value)) {
       flags.log_file = value;
-    } else if (ParseFlag(arg, "route", &value)) {
-      flags.route = value;
-    } else if (arg == "--scatter-gather") {
-      flags.scatter_gather = true;
     } else if (arg == "--no-sat-cache") {
       flags.persistent_sat_cache = false;
     } else if (arg == "--serve-once") {
@@ -452,21 +445,9 @@ int main(int argc, char** argv) {
 
   pcx::BoundServer::Options options;
   options.solver.num_threads = flags.threads;
-  options.solver.scatter_gather = flags.scatter_gather;
   options.solver.solver.persistent_sat_cache = flags.persistent_sat_cache;
   options.slow_query_us = flags.slow_query_us;
   options.slow_log_path = flags.log_file;
-  if (flags.route == "index") {
-    options.solver.route_mode = pcx::route::RouteMode::kIndex;
-  } else if (flags.route == "linear") {
-    options.solver.route_mode = pcx::route::RouteMode::kLinear;
-  } else if (flags.route == "verify") {
-    options.solver.route_mode = pcx::route::RouteMode::kVerify;
-  } else {
-    std::fprintf(stderr, "--route wants index, linear, or verify (got '%s')\n",
-                 flags.route.c_str());
-    return 2;
-  }
   pcx::BoundServer server(options);
 
   // Recovery before seeding: an initialized --log-dir IS the state (base
