@@ -61,6 +61,13 @@ class ScopedTrace {
   TraceContext* previous_;
 };
 
+/// Microseconds elapsed on the steady clock since `start`.
+inline double MicrosSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
 /// RAII stage timer: records `stage` into the context on destruction.
 /// With a null context (tracing off) it does nothing and reads no
 /// clocks.

@@ -53,6 +53,7 @@ bool IsTransientAcceptError(int error_code) {
 #include "common/text.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
+#include "common/trace.h"
 
 namespace pcx {
 namespace {
@@ -144,11 +145,6 @@ struct PendingBound {
   SteadyClock::time_point enqueued;
 };
 
-double MicrosSince(SteadyClock::time_point start) {
-  return std::chrono::duration<double, std::micro>(SteadyClock::now() - start)
-      .count();
-}
-
 std::string FormatRangeReply(const StatusOr<ResultRange>& range) {
   if (!range.ok()) return FormatErrorReply(range.status());
   std::ostringstream out;
@@ -187,9 +183,6 @@ class Loop {
             "pcx_coalesce_wait_us", {},
             "Time a BOUND waited for a free solver worker before its "
             "batch was dispatched (microseconds)")),
-        coalesce_batch_hist_(&server.metrics().GetHistogram(
-            "pcx_coalesce_batch_size", {},
-            "Requests per dispatched coalesced BOUND batch")),
         pool_(options.solver_threads == 0 ? 2 : options.solver_threads) {}
 
   Status Run();
@@ -242,8 +235,6 @@ class Loop {
   void DispatchLine(Conn& conn, const std::string& line);
   Slot& NewSlot(Conn& conn);
   void CompleteInline(Conn& conn, Slot& slot, std::string text);
-  /// True when admission control rejected (slot answered UNAVAILABLE).
-  bool RejectIfOverloaded(Conn& conn, Slot& slot);
   void SubmitHandleLineTask(Conn& conn, Slot& slot, std::string line);
   /// Runs `task` on the pool, counted in pool_tasks_ (and its `bounds`
   /// BOUNDs in bounds_in_flight_) until it returns.
@@ -308,7 +299,6 @@ class Loop {
   /// Cached registry series (stable for the server's lifetime).
   Histogram* const queue_wait_hist_;
   Histogram* const coalesce_wait_hist_;
-  Histogram* const coalesce_batch_hist_;
   ThreadPool pool_;
 };
 
@@ -384,23 +374,6 @@ void Loop::CompleteInline(Conn& conn, Slot& slot, std::string text) {
   --conn.outstanding;
 }
 
-bool Loop::RejectIfOverloaded(Conn& conn, Slot& slot) {
-  // outstanding was already bumped for this slot, hence the ">" (the
-  // request itself is not evidence of overload).
-  const bool conn_full = conn.outstanding > options_.max_conn_pending;
-  const bool queue_full =
-      server_.transport().queue_depth.value() >=
-      static_cast<int64_t>(options_.max_queue);
-  if (!conn_full && !queue_full) return false;
-  server_.transport().overload_rejections.Increment();
-  CompleteInline(
-      conn, slot,
-      FormatErrorReply(Status::Unavailable(
-          conn_full ? "connection pipeline over max_conn_pending; retry"
-                    : "solver queue over max_queue; retry")));
-  return true;
-}
-
 void Loop::SubmitToPool(std::function<void()> task, size_t bounds) {
   pool_tasks_.fetch_add(1);
   bounds_in_flight_.fetch_add(bounds);
@@ -435,45 +408,65 @@ void Loop::DispatchLine(Conn& conn, const std::string& line) {
   for (char& c : cmd) {
     if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
   }
+  if (cmd == "EXIT") cmd = "QUIT";
 
-  if (cmd == "QUIT" || cmd == "EXIT") {
-    server_.NoteRequestVerb("QUIT");
-    Slot& slot = NewSlot(conn);
-    CompleteInline(conn, slot, "BYE\n");
+  // Requests the loop answers itself (QUIT, rejections, BOUNDs that
+  // fail before the coalescer) are counted and timed here, the rest by
+  // HandleLine or the BOUND batch.
+  const SteadyClock::time_point start = SteadyClock::now();
+  auto answer = [&](Slot& slot, std::string text) {
+    CompleteInline(conn, slot, std::move(text));
+    server_.NoteRequestLatency(cmd, line, MicrosSince(start));
+  };
+  // Admission control: true when the request in `slot` was rejected
+  // (answered UNAVAILABLE).
+  auto rejected = [&](Slot& slot) {
+    // outstanding was already bumped for this slot, hence the ">" (the
+    // request itself is not evidence of overload).
+    const bool conn_full = conn.outstanding > options_.max_conn_pending;
+    const bool queue_full = server_.transport().queue_depth.value() >=
+                            static_cast<int64_t>(options_.max_queue);
+    if (!conn_full && !queue_full) return false;
+    server_.transport().overload_rejections.Increment();
+    server_.NoteRequestVerb(cmd);
+    answer(slot, FormatErrorReply(Status::Unavailable(
+                     conn_full
+                         ? "connection pipeline over max_conn_pending; retry"
+                         : "solver queue over max_queue; retry")));
+    return true;
+  };
+
+  if (cmd == "QUIT") {
+    server_.NoteRequestVerb(cmd);
+    answer(NewSlot(conn), "BYE\n");
     conn.closing = true;  // replies before this slot still flush first
     return;
   }
 
   if (cmd == "BOUND") {
+    Slot& slot = NewSlot(conn);
+    if (rejected(slot)) return;
     if (conn.session->trace.load(std::memory_order_relaxed)) {
       // Traced BOUNDs skip the coalescer: the trace context is per-
       // request state a shared batch cannot carry, and a traced client
       // has opted into per-request handling anyway. HandleLine counts
       // and times the request itself.
-      Slot& slot = NewSlot(conn);
-      if (RejectIfOverloaded(conn, slot)) {
-        server_.NoteRequestVerb("BOUND");
-        return;
-      }
       SubmitHandleLineTask(conn, slot, line);
       return;
     }
     // The coalescing fast path: parse here (cheap), batch the solve at
     // the end of the sweep.
-    server_.NoteRequestVerb("BOUND");
-    Slot& slot = NewSlot(conn);
-    if (RejectIfOverloaded(conn, slot)) return;
+    server_.NoteRequestVerb(cmd);
     const std::shared_ptr<const ShardedBoundSolver> pinned = server_.solver();
     if (pinned == nullptr) {
-      CompleteInline(conn, slot,
-                     FormatErrorReply(Status::FailedPrecondition(
-                         "no snapshot loaded (use LOAD <path>)")));
+      answer(slot, FormatErrorReply(Status::FailedPrecondition(
+                       "no snapshot loaded (use LOAD <path>)")));
       return;
     }
     StatusOr<AggQuery> query =
         ParseBoundRequest(tokens, pinned->constraints().num_attrs());
     if (!query.ok()) {
-      CompleteInline(conn, slot, FormatErrorReply(query.status()));
+      answer(slot, FormatErrorReply(query.status()));
       return;
     }
     NoteQueued();
@@ -487,10 +480,7 @@ void Loop::DispatchLine(Conn& conn, const std::string& line) {
     // Solver-pool work (GROUPBY solves; LOAD builds a whole solver):
     // must not stall the loop, and counts against the admission caps.
     Slot& slot = NewSlot(conn);
-    if (RejectIfOverloaded(conn, slot)) {
-      server_.NoteRequestVerb(cmd);
-      return;
-    }
+    if (rejected(slot)) return;
     SubmitHandleLineTask(conn, slot, line);
     return;
   }
@@ -531,10 +521,9 @@ void Loop::DispatchBoundBatch(size_t take) {
       std::make_move_iterator(pending_bounds_.begin() + take));
   pending_bounds_.erase(pending_bounds_.begin(),
                         pending_bounds_.begin() + take);
-  server_.transport().coalesced_batches.Increment();
-  server_.transport().coalesced_requests.Increment(batch.size());
+  server_.transport().coalesce_batch_size.Observe(
+      static_cast<double>(batch.size()));
   server_.transport().max_batch.MaxWith(static_cast<int64_t>(batch.size()));
-  coalesce_batch_hist_->Observe(static_cast<double>(batch.size()));
   for (const PendingBound& p : batch) {
     coalesce_wait_hist_->Observe(MicrosSince(p.enqueued));
   }

@@ -92,11 +92,7 @@ StatusOr<uint64_t> ReplicaTailer::SyncOnce(LineTransport& transport,
     }
     PCX_ASSIGN_OR_RETURN(const Snapshot snap, ParseSnapshot(text));
     PCX_RETURN_IF_ERROR(server.InstallSnapshot(snap).status());
-    ++server.replication().snapshots_installed;
-    server.metrics()
-        .GetCounter("pcx_replication_snapshots_installed_total", {},
-                    "Full snapshot resyncs installed by the replica tailer")
-        .Increment();
+    server.replication().snapshots_installed.Increment();
   }
   if (num_records > 0) {
     // Tail shipping: records in (our epoch, primary epoch], crc-checked
@@ -117,29 +113,18 @@ StatusOr<uint64_t> ReplicaTailer::SyncOnce(LineTransport& transport,
       records.push_back(std::move(rec));
     }
     PCX_RETURN_IF_ERROR(server.ApplyRecords(records).status());
-    server.replication().records_applied += num_records;
-    server.metrics()
-        .GetCounter("pcx_replication_records_applied_total", {},
-                    "Delta records applied by the replica tailer")
-        .Increment(num_records);
+    server.replication().records_applied.Increment(num_records);
   }
-  server.replication().primary_epoch.store(primary_epoch);
-  ++server.replication().syncs;
-  // Mirror into the registry: syncs as a counter and the epoch gap as a
-  // gauge (0 right after a successful sync unless the primary advanced
-  // while we applied). Registration cost is fine at poll cadence.
-  server.metrics()
-      .GetCounter("pcx_replication_syncs_total", {},
-                  "Successful SYNC rounds against the primary")
-      .Increment();
+  server.replication().primary_epoch.Set(static_cast<int64_t>(primary_epoch));
+  server.replication().syncs.Increment();
+  // The epoch gap is 0 right after a successful sync unless the primary
+  // advanced while we applied.
   const std::shared_ptr<const ShardedBoundSolver> after = server.solver();
   const uint64_t local_epoch = after != nullptr ? after->epoch() : 0;
-  server.metrics()
-      .GetGauge("pcx_replication_lag", {},
-                "Primary epoch minus local epoch after the last sync")
-      .Set(primary_epoch >= local_epoch
-               ? static_cast<int64_t>(primary_epoch - local_epoch)
-               : 0);
+  server.replication().lag.Set(
+      primary_epoch >= local_epoch
+          ? static_cast<int64_t>(primary_epoch - local_epoch)
+          : 0);
   return primary_epoch;
 }
 
@@ -152,11 +137,7 @@ void ReplicaTailer::Run() {
       auto connected = TcpClientTransport::Connect(options_.host,
                                                    options_.port);
       if (!connected.ok()) {
-        ++server_.replication().sync_failures;
-        server_.metrics()
-            .GetCounter("pcx_replication_sync_failures_total", {},
-                        "Failed connects or SYNC rounds on the replica")
-            .Increment();
+        server_.replication().sync_failures.Increment();
         // Decorrelated jitter: sleep in [min, 3*prev], capped — a fleet
         // of replicas reconnecting to a restarted primary spreads out
         // instead of stampeding in lockstep.
@@ -173,11 +154,7 @@ void ReplicaTailer::Run() {
     }
     const StatusOr<uint64_t> synced = SyncOnce(*transport, server_);
     if (!synced.ok()) {
-      ++server_.replication().sync_failures;
-      server_.metrics()
-          .GetCounter("pcx_replication_sync_failures_total", {},
-                      "Failed connects or SYNC rounds on the replica")
-          .Increment();
+      server_.replication().sync_failures.Increment();
       if (synced.status().code() == StatusCode::kUnavailable ||
           synced.status().code() == StatusCode::kProtocolError) {
         // The session is gone or desynced; only a fresh connection has

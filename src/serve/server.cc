@@ -16,12 +16,6 @@
 namespace pcx {
 namespace {
 
-double MicrosSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 std::string ToUpper(std::string s) {
   for (char& c : s) {
     if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
@@ -143,12 +137,9 @@ BoundServer::TransportStats::TransportStats(MetricsRegistry& metrics)
           "Requests admitted to the solver queue and not yet answered")),
       queue_high_water(metrics.GetGauge("pcx_queue_high_water", {},
                                         "Largest queue depth seen")),
-      coalesced_batches(metrics.GetCounter(
-          "pcx_coalesced_batches_total", {},
-          "Cross-connection BOUND batches dispatched to the solver")),
-      coalesced_requests(
-          metrics.GetCounter("pcx_coalesced_requests_total", {},
-                             "BOUND requests carried by coalesced batches")),
+      coalesce_batch_size(metrics.GetHistogram(
+          "pcx_coalesce_batch_size", {},
+          "Requests per dispatched coalesced BOUND batch")),
       max_batch(metrics.GetGauge("pcx_max_batch", {},
                                  "Largest coalesced batch dispatched")),
       overload_rejections(metrics.GetCounter(
@@ -157,17 +148,35 @@ BoundServer::TransportStats::TransportStats(MetricsRegistry& metrics)
       open_connections(metrics.GetGauge("pcx_open_connections", {},
                                         "Open event-loop connections")) {}
 
+BoundServer::ReplicationStats::ReplicationStats(MetricsRegistry& m)
+    : primary_epoch(m.GetGauge("pcx_replication_primary_epoch", {},
+                               "Primary epoch at the last SYNC")),
+      syncs(m.GetCounter("pcx_replication_syncs_total", {},
+                         "Successful SYNC rounds against the primary")),
+      sync_failures(m.GetCounter("pcx_replication_sync_failures_total", {},
+                                 "Failed connects or SYNC rounds")),
+      records_applied(m.GetCounter("pcx_replication_records_applied_total",
+                                   {}, "Delta records applied by the tailer")),
+      snapshots_installed(
+          m.GetCounter("pcx_replication_snapshots_installed_total", {},
+                       "Full snapshot resyncs installed by the tailer")),
+      lag(m.GetGauge("pcx_replication_lag", {},
+                     "Primary epoch minus local epoch after the last sync")) {}
+
 BoundServer::BoundServer() : BoundServer(Options{}) {}
 
 BoundServer::BoundServer(Options options)
     : options_(std::move(options)),
       start_(std::chrono::steady_clock::now()),
-      transport_(metrics_) {
-  // Every solver a LOAD/APPLY constructs instruments into this server's
+      transport_(metrics_),
+      replication_(metrics_) {
+  // Every solver a LOAD/APPLY constructs counts into this server's
   // registry, whatever the caller put in Options.
   options_.solver.metrics = &metrics_;
   requests_total_ = &metrics_.GetCounter("pcx_requests_total", {},
                                          "Protocol requests dispatched");
+  sessions_total_ = &metrics_.GetCounter("pcx_sessions_total", {},
+                                         "Sessions opened since start");
   static constexpr const char* kVerbs[kNumVerbs] = {
       "BOUND", "GROUPBY", "LOAD",    "APPEND", "RETIRE", "CHECKPOINT", "SYNC",
       "STATS", "HEALTH",  "METRICS", "TRACE",  "QUIT",   "OTHER"};
@@ -207,14 +216,8 @@ const BoundServer::VerbSeries& BoundServer::FindVerb(
 }
 
 void BoundServer::NoteRequestVerb(const std::string& verb) {
-  ++requests_;
   requests_total_->Increment();
   FindVerb(verb).count->Increment();
-}
-
-void BoundServer::NoteRequestLatency(const std::string& verb,
-                                     const std::string& line, double us) {
-  NoteRequestLatency(verb, line, us, nullptr);
 }
 
 void BoundServer::NoteRequestLatency(
@@ -560,8 +563,9 @@ Status BoundServer::HandleStats(const ShardedBoundSolver& solver,
       << " lp_pivots=" << s.solve.lp_pivots
       << " queue_depth=" << transport_.queue_depth.value()
       << " queue_high_water=" << transport_.queue_high_water.value()
-      << " coalesced_batches=" << transport_.coalesced_batches.value()
-      << " coalesced_reqs=" << transport_.coalesced_requests.value()
+      << " coalesced_batches=" << transport_.coalesce_batch_size.count()
+      << " coalesced_reqs="
+      << static_cast<uint64_t>(transport_.coalesce_batch_size.sum())
       << " max_batch=" << transport_.max_batch.value()
       << " overload_rejects=" << transport_.overload_rejections.value();
   // Routing-index shape, appended at the end so existing
@@ -600,21 +604,22 @@ void BoundServer::HandleHealth(const ShardedBoundSolver* solver,
     tail_records = tail_.size();
   }
   const bool replica = replication_.replica.load();
-  const uint64_t primary_epoch = replication_.primary_epoch.load();
+  const uint64_t primary_epoch =
+      static_cast<uint64_t>(replication_.primary_epoch.value());
   const uint64_t local_epoch = solver != nullptr ? solver->epoch() : 0;
   const uint64_t lag =
       replica && primary_epoch > local_epoch ? primary_epoch - local_epoch : 0;
   out << " log=" << (log_enabled_.load() ? 1 : 0)
       << " log_records=" << tail_records << " replica=" << (replica ? 1 : 0)
       << " primary_epoch=" << primary_epoch << " lag=" << lag
-      << " sync_errors=" << replication_.sync_failures.load() << "\n";
+      << " sync_errors=" << replication_.sync_failures.value() << "\n";
 }
 
 void BoundServer::HandleMetrics(const ShardedBoundSolver* solver,
                                 std::ostream& out) {
   // Scrape-time gauges: state that has an authoritative owner elsewhere
-  // (the pinned solver, the process clock, the session counter) is
-  // refreshed at scrape instead of being double-maintained.
+  // (the pinned solver, the process clock) is refreshed at scrape
+  // instead of being double-maintained.
   metrics_.GetGauge("pcx_uptime_seconds", {}, "Process uptime")
       .Set(static_cast<int64_t>(uptime_seconds()));
   metrics_.GetGauge("pcx_loaded", {}, "1 once a snapshot is served")
@@ -623,8 +628,6 @@ void BoundServer::HandleMetrics(const ShardedBoundSolver* solver,
       .Set(solver != nullptr ? static_cast<int64_t>(solver->epoch()) : 0);
   metrics_.GetGauge("pcx_shards", {}, "Shards in the served snapshot")
       .Set(solver != nullptr ? static_cast<int64_t>(solver->num_shards()) : 0);
-  metrics_.GetGauge("pcx_sessions", {}, "Sessions opened since start")
-      .Set(static_cast<int64_t>(sessions()));
   metrics_
       .GetGauge("pcx_read_only", {},
                 "1 when serving as a read-only replica")

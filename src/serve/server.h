@@ -58,14 +58,14 @@ namespace pcx {
 /// side and swaps the pointer atomically, so in-flight queries finish
 /// on the epoch they started on while new requests see the new epoch —
 /// a reply is always computed entirely at one epoch, never torn across
-/// two. Cumulative request/session counters are atomics; per-epoch
-/// solver counters are owned (and locked) by the solver itself.
+/// two. Every count lives in the server's MetricsRegistry, where each
+/// epoch's solver adds to the same series: STATS, HEALTH and METRICS
+/// are read-only views of one store, cumulative over the process.
 class BoundServer {
  public:
   struct Options {
     /// Forwarded to every solver a LOAD constructs. `solver.metrics` is
-    /// overridden to the server's own registry, so per-shard solve
-    /// histograms always land in the scrapeable METRICS output.
+    /// overridden to the server's own registry.
     ShardedBoundSolver::Options solver;
     /// Requests slower than this many microseconds get a structured
     /// one-line record in the slow-query log. 0 disables the log.
@@ -95,11 +95,11 @@ class BoundServer {
     /// Requests admitted to the solver queue and not yet answered.
     Gauge& queue_depth;
     Gauge& queue_high_water;
-    /// Cross-connection BOUND coalescing: batches dispatched, requests
-    /// they carried, and the largest batch seen (>1 means the fan-in
-    /// actually coalesced).
-    Counter& coalesced_batches;
-    Counter& coalesced_requests;
+    /// Cross-connection BOUND coalescing: one observation per batch
+    /// dispatched, of the requests it carried (its _count is STATS
+    /// coalesced_batches, its _sum coalesced_reqs), and the largest
+    /// batch seen (>1 means the fan-in actually coalesced).
+    Histogram& coalesce_batch_size;
     Gauge& max_batch;
     /// Requests answered "ERR UNAVAILABLE" by admission control.
     Counter& overload_rejections;
@@ -107,18 +107,20 @@ class BoundServer {
     Gauge& open_connections;
   };
 
-  /// Replication-side counters, updated by the replica tailer
-  /// (serve/replicator.h) and read by HEALTH. All atomics: the tailer
-  /// thread writes while sessions read.
+  /// Replication-side series (registry-backed, like TransportStats),
+  /// updated by the replica tailer (serve/replicator.h) and read by
+  /// HEALTH.
   struct ReplicationStats {
+    explicit ReplicationStats(MetricsRegistry& metrics);
     std::atomic<bool> replica{false};  ///< this process tails a primary
     /// Last epoch the primary reported; HEALTH's lag is the distance
     /// between this and the locally served epoch.
-    std::atomic<uint64_t> primary_epoch{0};
-    std::atomic<uint64_t> syncs{0};          ///< successful SYNC rounds
-    std::atomic<uint64_t> sync_failures{0};  ///< failed rounds / reconnects
-    std::atomic<uint64_t> records_applied{0};
-    std::atomic<uint64_t> snapshots_installed{0};  ///< full resyncs
+    Gauge& primary_epoch;
+    Counter& syncs;          ///< successful SYNC rounds
+    Counter& sync_failures;  ///< failed rounds / reconnects
+    Counter& records_applied;
+    Counter& snapshots_installed;  ///< full resyncs
+    Gauge& lag;  ///< primary epoch - local epoch after the last sync
   };
 
   BoundServer();
@@ -185,15 +187,14 @@ class BoundServer {
   /// before the first successful LOAD.
   std::shared_ptr<const ShardedBoundSolver> solver() const;
 
-  /// Whole-process serving counters (cumulative across LOAD swaps,
-  /// unlike the per-epoch counters in STATS).
+  /// Whole-process serving counters.
   uint64_t uptime_seconds() const;
-  uint64_t sessions() const { return sessions_.load(); }
-  uint64_t requests() const { return requests_.load(); }
+  uint64_t sessions() const { return sessions_total_->value(); }
+  uint64_t requests() const { return requests_total_->value(); }
 
   /// Called once by each serving front end (stdio stream or event-loop
   /// connection) when a session opens; feeds the HEALTH sessions counter.
-  void NoteSessionStart() { ++sessions_; }
+  void NoteSessionStart() { sessions_total_->Increment(); }
 
   /// Counts one request of the given (already upper-cased) verb —
   /// pcx_requests_total plus the per-verb counter, in lockstep so
@@ -210,11 +211,9 @@ class BoundServer {
   /// appends the query's routing fan-out (`shards=K`) to its
   /// slow-query record — the first thing an operator wants to know
   /// about a slow BOUND is how wide it fanned.
-  void NoteRequestLatency(const std::string& verb, const std::string& line,
-                          double us);
-  void NoteRequestLatency(const std::string& verb, const std::string& line,
-                          double us,
-                          const ShardedBoundSolver::RouteInfo* route);
+  void NoteRequestLatency(
+      const std::string& verb, const std::string& line, double us,
+      const ShardedBoundSolver::RouteInfo* route = nullptr);
 
   /// The server's metrics registry (the METRICS exposition source).
   /// Components wired to this server — transports, the replica tailer,
@@ -269,7 +268,7 @@ class BoundServer {
   Status HandleStats(const ShardedBoundSolver& solver, std::ostream& out);
   /// HEALTH never fails — it must answer on a server with no snapshot.
   void HandleHealth(const ShardedBoundSolver* solver, std::ostream& out);
-  /// METRICS: refreshes scrape-time gauges (uptime, epoch, sessions)
+  /// METRICS: refreshes scrape-time gauges (uptime, epoch, loaded)
   /// and writes the registry's Prometheus text as a counted block —
   /// "METRICS <n>\n" followed by n exposition lines.
   void HandleMetrics(const ShardedBoundSolver* solver, std::ostream& out);
@@ -303,19 +302,18 @@ class BoundServer {
 
   Options options_;
   const std::chrono::steady_clock::time_point start_;
-  std::atomic<uint64_t> sessions_{0};
-  std::atomic<uint64_t> requests_{0};
   std::atomic<bool> read_only_{false};
   std::atomic<bool> log_enabled_{false};  ///< lock-free mirror for HEALTH
 
-  /// Declared before transport_: TransportStats binds references into
-  /// the registry at construction.
+  /// Declared before transport_ and replication_: both bind references
+  /// into the registry at construction.
   MetricsRegistry metrics_;
   TransportStats transport_;
   ReplicationStats replication_;
 
   /// Hot-path metric caches (stable registry references).
   Counter* requests_total_ = nullptr;
+  Counter* sessions_total_ = nullptr;
   std::array<VerbSeries, kNumVerbs> verbs_{};
   Histogram* delta_apply_hist_ = nullptr;
 

@@ -1,11 +1,13 @@
 #include "serve/sharded_solver.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -15,10 +17,30 @@
 namespace pcx {
 namespace {
 
-double MicrosSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - start)
-      .count();
+using SolveStats = PcBoundSolver::SolveStats;
+
+/// The counted SolveStats fields and their counter names, in
+/// solve_counters_ order.
+constexpr std::pair<const char*, size_t SolveStats::*> kSolveFields[] = {
+    {"pcx_solve_cells_total", &SolveStats::num_cells},
+    {"pcx_sat_calls_total", &SolveStats::sat_calls},
+    {"pcx_sat_cache_hits_total", &SolveStats::sat_cache_hits},
+    {"pcx_milp_nodes_total", &SolveStats::milp_nodes},
+    {"pcx_lp_solves_total", &SolveStats::lp_solves},
+    {"pcx_lp_pivots_total", &SolveStats::lp_pivots},
+};
+
+/// Label values of pcx_bound_queries_total, indexed by routed fan-out
+/// min(shards, 2).
+constexpr const char* kFanoutLabels[] = {"none", "single", "multi"};
+
+/// A registry for a solver whose caller passed none.
+std::shared_ptr<MetricsRegistry> OwnRegistryIfNone(
+    ShardedBoundSolver::Options& options) {
+  if (options.metrics != nullptr) return nullptr;
+  auto owned = std::make_shared<MetricsRegistry>();
+  options.metrics = owned.get();
+  return owned;
 }
 
 }  // namespace
@@ -35,6 +57,7 @@ ShardedBoundSolver::ShardedBoundSolver(PredicateConstraintSet pcs,
                                        Options options)
     : flat_(std::move(pcs)),
       domains_(std::move(domains)),
+      owned_metrics_(OwnRegistryIfNone(options)),
       options_(options),
       configured_options_(options) {
   partition_ = PartitionPcSet(flat_, domains_, options_.partition);
@@ -45,6 +68,7 @@ ShardedBoundSolver::ShardedBoundSolver(const Snapshot& snapshot,
                                        Options options)
     : flat_(snapshot.Flatten()),
       domains_(snapshot.domains),
+      owned_metrics_(OwnRegistryIfNone(options)),
       options_(options),
       configured_options_(options),
       epoch_(snapshot.epoch) {
@@ -82,11 +106,13 @@ ShardedBoundSolver::ShardedBoundSolver(const Snapshot& snapshot,
 
 ShardedBoundSolver::ShardedBoundSolver(
     IncrementalTag, PredicateConstraintSet flat,
-    std::vector<AttrDomain> domains, Options configured, Partition partition,
+    std::vector<AttrDomain> domains, Options configured,
+    std::shared_ptr<MetricsRegistry> owned_metrics, Partition partition,
     uint64_t epoch,
     const std::vector<std::shared_ptr<const PcBoundSolver>>& reuse)
     : flat_(std::move(flat)),
       domains_(std::move(domains)),
+      owned_metrics_(std::move(owned_metrics)),
       options_(configured),
       configured_options_(configured),
       partition_(std::move(partition)),
@@ -116,10 +142,23 @@ void ShardedBoundSolver::BuildShards(
     options_.solver.auto_disjoint_fast_path = false;
   }
 
-  if (options_.metrics != nullptr) {
-    union_solve_hist_ = &options_.metrics->GetHistogram(
-        "pcx_shard_solve_latency_us", {{"shard", "union"}},
-        "BOUND solve latency per shard (microseconds)");
+  MetricsRegistry& metrics = *options_.metrics;
+  union_solve_hist_ = &metrics.GetHistogram(
+      "pcx_shard_solve_latency_us", {{"shard", "union"}},
+      "BOUND solve latency per shard (microseconds)");
+  for (size_t f = 0; f < std::size(kFanoutLabels); ++f) {
+    queries_by_fanout_[f] = &metrics.GetCounter(
+        "pcx_bound_queries_total", {{"fanout", kFanoutLabels[f]}},
+        "BOUND queries routed, by shard fan-out (none, single, multi)");
+  }
+  union_solvers_built_ =
+      &metrics.GetCounter("pcx_union_solvers_built_total", {},
+                          "Shard-union solvers built for spanning queries");
+  static_assert(std::size(kSolveFields) == decltype(solve_counters_){}.size());
+  for (size_t f = 0; f < std::size(kSolveFields); ++f) {
+    solve_counters_[f] = &metrics.GetCounter(
+        kSolveFields[f].first, {},
+        "Solver work summed over BOUND queries (PcBoundSolver::SolveStats)");
   }
 
   always_relevant_.assign(flat_.size(), 0);
@@ -159,11 +198,9 @@ void ShardedBoundSolver::BuildShards(
                         std::max(cur.hi, pred.dim(d).hi), false, false});
       }
     }
-    if (options_.metrics != nullptr) {
-      shard.solve_hist = &options_.metrics->GetHistogram(
-          "pcx_shard_solve_latency_us", {{"shard", std::to_string(s)}},
-          "BOUND solve latency per shard (microseconds)");
-    }
+    shard.solve_hist = &metrics.GetHistogram(
+        "pcx_shard_solve_latency_us", {{"shard", std::to_string(s)}},
+        "BOUND solve latency per shard (microseconds)");
     if (reuse != nullptr && s < reuse->size() && (*reuse)[s] != nullptr) {
       // An untouched shard: identical subset, order, and effective
       // solver options — the predecessor's decomposition is the one a
@@ -195,19 +232,17 @@ void ShardedBoundSolver::BuildShards(
   hull_index_ =
       std::make_unique<const route::RouteIndex>(std::move(hulls), domains_);
 
-  if (options_.metrics != nullptr) {
-    route_fanout_hist_ = &options_.metrics->GetHistogram(
-        "pcx_route_fanout", {}, "shards per routed BOUND query");
-    const route::RouteIndexStats totals = RouteIndexTotals();
-    options_.metrics
-        ->GetGauge("pcx_route_index_nodes", {},
-                   "endpoint records across all compiled route lanes")
-        .Set(static_cast<int64_t>(totals.num_entries));
-    options_.metrics
-        ->GetGauge("pcx_route_index_depth", {},
-                   "max binary-search depth of any route-lane probe")
-        .Set(static_cast<int64_t>(totals.depth));
-  }
+  route_fanout_hist_ = &metrics.GetHistogram(
+      "pcx_route_fanout", {}, "shards per routed BOUND query");
+  const route::RouteIndexStats totals = RouteIndexTotals();
+  metrics
+      .GetGauge("pcx_route_index_nodes", {},
+                "endpoint records across all compiled route lanes")
+      .Set(static_cast<int64_t>(totals.num_entries));
+  metrics
+      .GetGauge("pcx_route_index_depth", {},
+                "max binary-search depth of any route-lane probe")
+      .Set(static_cast<int64_t>(totals.depth));
 }
 
 route::RouteIndexStats ShardedBoundSolver::RouteIndexTotals() const {
@@ -443,7 +478,7 @@ ShardedBoundSolver::ApplyDeltas(std::span<const DeltaRecord> records) const {
     Partition fresh = PartitionPcSet(new_flat, domains_, popts);
     return std::shared_ptr<const ShardedBoundSolver>(new ShardedBoundSolver(
         IncrementalTag{}, std::move(new_flat), domains_, configured_options_,
-        std::move(fresh), epoch,
+        owned_metrics_, std::move(fresh), epoch,
         std::vector<std::shared_ptr<const PcBoundSolver>>()));
   }
 
@@ -542,7 +577,7 @@ ShardedBoundSolver::ApplyDeltas(std::span<const DeltaRecord> records) const {
 
   return std::shared_ptr<const ShardedBoundSolver>(new ShardedBoundSolver(
       IncrementalTag{}, std::move(new_flat), domains_, configured_options_,
-      std::move(partition), epoch, reuse));
+      owned_metrics_, std::move(partition), epoch, reuse));
 }
 
 ShardMask ShardedBoundSolver::RouteMaskLinear(const AggQuery& query) const {
@@ -632,12 +667,7 @@ std::shared_ptr<const PcBoundSolver> ShardedBoundSolver::SolverFor(
   for (size_t i : indices) subset.Add(flat_.at(i));
   auto solver = std::make_shared<const PcBoundSolver>(
       std::move(subset), domains_, options_.solver);
-  {
-    // cache_mu_ is held; stats_mu_ nests inside it (the documented
-    // lock order) for just this increment.
-    MutexLock stats_lock(stats_mu_);
-    ++serve_stats_.union_solvers_built;
-  }
+  union_solvers_built_->Increment();
   // Bounded memo: flush wholesale at the cap (rare; shard-spanning mask
   // diversity is usually tiny). Shared ownership keeps solvers already
   // handed out alive until their queries finish.
@@ -648,11 +678,11 @@ std::shared_ptr<const PcBoundSolver> ShardedBoundSolver::SolverFor(
 
 StatusOr<ResultRange> ShardedBoundSolver::BoundOne(
     const AggQuery& query, PcBoundSolver::SolveStats& stats,
-    ServeStats& local, RouteInfo* route) const {
-  ++local.queries;
+    RouteInfo& route) const {
   // Mirrors the unsharded solver's up-front validation so a misrouted
   // query (e.g. one whose WHERE touches no shard) still fails the same
-  // way instead of silently answering over an empty set.
+  // way instead of silently answering over an empty set. A query
+  // rejected here is counted as routed to no shard.
   if (query.agg != AggFunc::kCount && !flat_.empty() &&
       query.attr >= flat_.num_attrs()) {
     return Status::InvalidArgument("aggregate attribute out of range");
@@ -665,14 +695,11 @@ StatusOr<ResultRange> ShardedBoundSolver::BoundOne(
     mask = RouteMask(query);
   }
   const int bits = std::popcount(mask);
-  if (route_fanout_hist_ != nullptr) {
-    // Fan-out as routed (before the no-shard fallback below widens an
-    // empty mask to one shard): the signal for partition selectivity.
-    route_fanout_hist_->Observe(static_cast<double>(bits));
-  }
-  if (route != nullptr) route->shards = static_cast<uint32_t>(bits);
+  // Fan-out as routed (before the no-shard fallback below widens an
+  // empty mask to one shard): the signal for partition selectivity.
+  route_fanout_hist_->Observe(static_cast<double>(bits));
+  route.shards = static_cast<uint32_t>(bits);
   if (bits == 0) {
-    ++local.no_shard_queries;
     // No predicate can intersect the region, but the answer is still
     // defined over a non-empty set (e.g. MIN negation yields -0.0, and
     // an empty-set solver would answer +0.0). Any one shard performs
@@ -683,44 +710,30 @@ StatusOr<ResultRange> ShardedBoundSolver::BoundOne(
         break;
       }
     }
-  } else if (bits == 1) {
-    ++local.single_shard_queries;
-  } else {
-    ++local.multi_shard_queries;
   }
 
   const std::shared_ptr<const PcBoundSolver> solver = SolverFor(mask);
-  // mask can stay 0 only over an all-empty partition (empty-set solver).
-  Histogram* hist = nullptr;
-  if (options_.metrics != nullptr && mask != 0) {
-    hist = bits >= 2
-               ? union_solve_hist_
-               : shards_[static_cast<size_t>(std::countr_zero(mask))]
-                     .solve_hist;
-  }
-  TraceContext* trace = CurrentTrace();
-  if (hist == nullptr && trace == nullptr) {
-    return solver->BoundWithStats(query, stats);
-  }
+  // mask stays 0 only over an all-empty partition, whose empty-set
+  // solve is timed with the unions.
+  Histogram& hist =
+      std::popcount(mask) == 1
+          ? *shards_[static_cast<size_t>(std::countr_zero(mask))].solve_hist
+          : *union_solve_hist_;
   const auto start = std::chrono::steady_clock::now();
   auto result = solver->BoundWithStats(query, stats);
   const double us = MicrosSince(start);
-  if (hist != nullptr) hist->Observe(us);
-  if (trace != nullptr) trace->AddShardSolve(us);
+  hist.Observe(us);
+  if (TraceContext* trace = CurrentTrace()) trace->AddShardSolve(us);
   return result;
-}
-
-StatusOr<ResultRange> ShardedBoundSolver::Bound(const AggQuery& query) const {
-  return Bound(query, nullptr);
 }
 
 StatusOr<ResultRange> ShardedBoundSolver::Bound(const AggQuery& query,
                                                 RouteInfo* route) const {
   PcBoundSolver::SolveStats stats;
-  ServeStats local;
-  auto result = BoundOne(query, stats, local, route);
-  local.solve += stats;
-  MergeServeStats(local);
+  RouteInfo info;
+  auto result = BoundOne(query, stats, info);
+  CountQueries(std::span<const RouteInfo>(&info, 1), stats);
+  if (route != nullptr) *route = info;
   return result;
 }
 
@@ -730,11 +743,10 @@ std::vector<StatusOr<ResultRange>> ShardedBoundSolver::BoundBatch(
     std::vector<RouteInfo>* per_query_route) const {
   std::vector<std::optional<StatusOr<ResultRange>>> slots(queries.size());
   std::vector<PcBoundSolver::SolveStats> stats(queries.size());
-  std::vector<ServeStats> locals(queries.size());
   std::vector<RouteInfo> routes(queries.size());
 
   auto run_one = [&](size_t i) {
-    slots[i].emplace(BoundOne(queries[i], stats[i], locals[i], &routes[i]));
+    slots[i].emplace(BoundOne(queries[i], stats[i], routes[i]));
   };
   if (options_.num_threads == 1 || queries.size() <= 1) {
     for (size_t i = 0; i < queries.size(); ++i) run_one(i);
@@ -743,12 +755,9 @@ std::vector<StatusOr<ResultRange>> ShardedBoundSolver::BoundBatch(
     pool.ParallelFor(queries.size(), run_one);
   }
 
-  ServeStats total;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    total += locals[i];
-    total.solve += stats[i];
-  }
-  MergeServeStats(total);
+  PcBoundSolver::SolveStats total;
+  for (const PcBoundSolver::SolveStats& s : stats) total += s;
+  CountQueries(routes, total);
   if (per_query_stats != nullptr) *per_query_stats = std::move(stats);
   if (per_query_route != nullptr) *per_query_route = std::move(routes);
 
@@ -777,14 +786,32 @@ StatusOr<std::vector<GroupRange>> ShardedBoundSolver::BoundGroupBy(
   return out;
 }
 
-ShardedBoundSolver::ServeStats ShardedBoundSolver::stats() const {
-  MutexLock lock(stats_mu_);
-  return serve_stats_;
+void ShardedBoundSolver::CountQueries(
+    std::span<const RouteInfo> routes,
+    const PcBoundSolver::SolveStats& solve) const {
+  std::array<uint64_t, std::size(kFanoutLabels)> by_fanout{};
+  for (const RouteInfo& r : routes) ++by_fanout[std::min<uint32_t>(r.shards, 2)];
+  for (size_t f = 0; f < by_fanout.size(); ++f) {
+    if (by_fanout[f] != 0) queries_by_fanout_[f]->Increment(by_fanout[f]);
+  }
+  for (size_t f = 0; f < std::size(kSolveFields); ++f) {
+    const size_t n = solve.*kSolveFields[f].second;
+    if (n != 0) solve_counters_[f]->Increment(n);
+  }
 }
 
-void ShardedBoundSolver::MergeServeStats(const ServeStats& local) const {
-  MutexLock lock(stats_mu_);
-  serve_stats_ += local;
+ShardedBoundSolver::ServeStats ShardedBoundSolver::stats() const {
+  ServeStats s;
+  s.no_shard_queries = queries_by_fanout_[0]->value();
+  s.single_shard_queries = queries_by_fanout_[1]->value();
+  s.multi_shard_queries = queries_by_fanout_[2]->value();
+  s.queries =
+      s.no_shard_queries + s.single_shard_queries + s.multi_shard_queries;
+  s.union_solvers_built = union_solvers_built_->value();
+  for (size_t f = 0; f < std::size(kSolveFields); ++f) {
+    s.solve.*kSolveFields[f].second = solve_counters_[f]->value();
+  }
+  return s;
 }
 
 }  // namespace pcx

@@ -1,6 +1,7 @@
 #ifndef PCX_SERVE_SHARDED_SOLVER_H_
 #define PCX_SERVE_SHARDED_SOLVER_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -63,34 +64,23 @@ class ShardedBoundSolver {
     /// Fan-out width for BoundBatch / BoundGroupBy (0 = hardware
     /// concurrency, 1 = sequential).
     size_t num_threads = 0;
-    /// When set, per-shard solve latencies are observed into
-    /// `pcx_shard_solve_latency_us{shard=...}` histograms (the input
-    /// signal for skew-aware repartitioning). Must outlive the solver
-    /// and every ApplyDeltas successor. nullptr = no instrumentation,
-    /// no clock reads on the solve path.
+    /// Where the solver counts (queries by fan-out, the SolveStats work
+    /// profile, union solvers built) and times (per-shard solve latency,
+    /// the input signal for skew-aware repartitioning). Must outlive the
+    /// solver and every ApplyDeltas successor. nullptr = a registry the
+    /// solver owns and shares with its ApplyDeltas successors.
     MetricsRegistry* metrics = nullptr;
   };
 
-  /// Cumulative serving counters (since construction; mutex-guarded).
+  /// Serving counters read from the registry: cumulative over every
+  /// solver counting into it (in a server, every epoch's solver).
   struct ServeStats {
-    size_t queries = 0;
+    size_t queries = 0;               ///< sum of the three below
     size_t single_shard_queries = 0;  ///< routed to exactly one shard
     size_t multi_shard_queries = 0;   ///< needed a union of >= 2 shards
-    size_t no_shard_queries = 0;      ///< WHERE intersects no predicate
+    size_t no_shard_queries = 0;      ///< WHERE hits no predicate, or invalid
     size_t union_solvers_built = 0;   ///< distinct shard unions memoized
     PcBoundSolver::SolveStats solve;  ///< summed over all queries
-
-    /// Counter merge (union_solvers_built included: only the global
-    /// accumulator ever has it non-zero).
-    ServeStats& operator+=(const ServeStats& other) {
-      queries += other.queries;
-      single_shard_queries += other.single_shard_queries;
-      multi_shard_queries += other.multi_shard_queries;
-      no_shard_queries += other.no_shard_queries;
-      union_solvers_built += other.union_solvers_built;
-      solve += other.solve;
-      return *this;
-    }
   };
 
   /// Per-query routing diagnostics, filled by the Bound(query, route)
@@ -139,10 +129,9 @@ class ShardedBoundSolver {
     return MakeSnapshot(flat_, domains_, partition_, epoch_);
   }
 
-  StatusOr<ResultRange> Bound(const AggQuery& query) const;
-  /// Like Bound, writing the routing diagnostics into `*route` (when
-  /// non-null) on the way.
-  StatusOr<ResultRange> Bound(const AggQuery& query, RouteInfo* route) const;
+  /// `route`, when non-null, receives the routing diagnostics.
+  StatusOr<ResultRange> Bound(const AggQuery& query,
+                              RouteInfo* route = nullptr) const;
 
   /// Routes and solves every query, fanned across the thread pool;
   /// results are in input order and bit-identical to calling Bound in a
@@ -167,8 +156,8 @@ class ShardedBoundSolver {
   const std::vector<AttrDomain>& domains() const { return domains_; }
   const Partition& partition() const { return partition_; }
   uint64_t epoch() const { return epoch_; }
-  const Options& options() const { return options_; }
 
+  /// A lock-free read of the registry series (see ServeStats).
   ServeStats stats() const;
 
   /// Bitmask of shards owning a predicate that can intersect the query
@@ -202,8 +191,8 @@ class ShardedBoundSolver {
     Box bbox;
     bool always_relevant = false;  ///< owns a degenerate empty-box PC
     /// Solve-latency histogram for this shard, resolved once in
-    /// BuildShards (null when Options::metrics is null). The registry
-    /// owns the histogram; the pointer is a stable cache.
+    /// BuildShards. The registry owns the histogram; the pointer is a
+    /// stable cache.
     Histogram* solve_hist = nullptr;
   };
 
@@ -214,7 +203,8 @@ class ShardedBoundSolver {
   ShardedBoundSolver(
       IncrementalTag, PredicateConstraintSet flat,
       std::vector<AttrDomain> domains, Options configured,
-      Partition partition, uint64_t epoch,
+      std::shared_ptr<MetricsRegistry> owned_metrics, Partition partition,
+      uint64_t epoch,
       const std::vector<std::shared_ptr<const PcBoundSolver>>& reuse);
 
   /// `reuse`, when non-null, supplies a prebuilt solver per shard
@@ -239,16 +229,19 @@ class ShardedBoundSolver {
   static constexpr size_t kMaxUnionSolvers = 256;
 
   /// Routing + solving of one query; thread-safe, stats via out-params.
-  /// `route`, when non-null, receives the routing diagnostics.
+  /// `route` receives the routing diagnostics.
   StatusOr<ResultRange> BoundOne(const AggQuery& query,
                                  PcBoundSolver::SolveStats& stats,
-                                 ServeStats& local,
-                                 RouteInfo* route = nullptr) const;
+                                 RouteInfo& route) const;
 
-  void MergeServeStats(const ServeStats& local) const;
+  /// Adds a batch's queries and summed work profile, once per series.
+  void CountQueries(std::span<const RouteInfo> routes,
+                    const PcBoundSolver::SolveStats& solve) const;
 
   PredicateConstraintSet flat_;
   std::vector<AttrDomain> domains_;
+  /// The registry options_.metrics points at when the caller gave none.
+  std::shared_ptr<MetricsRegistry> owned_metrics_;
   Options options_;
   /// The caller's options before BuildShards imposes the disjointness
   /// verdict on options_.solver; ApplyDeltas starts the successor from
@@ -262,7 +255,7 @@ class ShardedBoundSolver {
   std::vector<Shard> shards_;
   std::vector<char> always_relevant_;  ///< per global PC: empty pred box
   /// Latency of solves that needed a union of >= 2 shards
-  /// (shard="union" series); null when Options::metrics is null.
+  /// (shard="union" series).
   Histogram* union_solve_hist_ = nullptr;
 
   /// The compiled hull-level index: one box per *non-empty* shard (its
@@ -275,23 +268,20 @@ class ShardedBoundSolver {
   std::vector<uint32_t> hull_shard_;
   ShardMask nonempty_mask_ = 0;  ///< shards with at least one member
   ShardMask always_mask_ = 0;    ///< non-empty shards, always_relevant
-  /// Registry-backed per-query fan-out histogram (null when
-  /// Options::metrics is null).
+  /// Registry-backed per-query fan-out histogram.
   Histogram* route_fanout_hist_ = nullptr;
 
-  /// Two locks, not one: under concurrent serving sessions every query
-  /// merges counters, but only shard-spanning queries touch the union
-  /// memo — and building a missing union solver holds its lock for a
-  /// full solver construction. Separate mutexes keep the (hot, short)
-  /// stats merge from queueing behind the (rare, long) cache fill.
-  /// Lock order where both are needed: cache_mu_ then stats_mu_ —
-  /// machine-checked by the ACQUIRED_BEFORE edge under
-  /// -Wthread-safety-beta, not just documented here.
-  mutable Mutex cache_mu_ ACQUIRED_BEFORE(stats_mu_);
+  /// Registry counters behind stats(), resolved once in BuildShards.
+  std::array<Counter*, 3> queries_by_fanout_{};  ///< 0, 1, >= 2 shards
+  Counter* union_solvers_built_ = nullptr;
+  /// One per counted SolveStats field, in kSolveFields order (.cc).
+  std::array<Counter*, 6> solve_counters_{};
+
+  /// Guards the union-solver memo; building a missing union solver
+  /// holds it for a full solver construction.
+  mutable Mutex cache_mu_;
   mutable std::unordered_map<ShardMask, std::shared_ptr<const PcBoundSolver>>
       union_cache_ GUARDED_BY(cache_mu_);
-  mutable Mutex stats_mu_;
-  mutable ServeStats serve_stats_ GUARDED_BY(stats_mu_);
 };
 
 }  // namespace pcx

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -101,7 +102,8 @@ double SumFamilySamples(const std::string& exposition,
 
 /// Asserts the tentpole reconciliation invariant on a server's registry:
 /// pcx_requests_total == sum over verbs of pcx_requests_verb_total, and
-/// both equal the HEALTH-visible cumulative requests counter.
+/// every verb's request count equals its latency histogram's _count
+/// (each counted request is also timed, whichever path answered it).
 void ExpectVerbReconciliation(BoundServer& server) {
   const std::string text = server.metrics().Exposition();
   const std::optional<double> total =
@@ -110,6 +112,20 @@ void ExpectVerbReconciliation(BoundServer& server) {
   const double by_verb = SumFamilySamples(text, "pcx_requests_verb_total");
   EXPECT_EQ(*total, by_verb) << text;
   EXPECT_GT(*total, 0.0);
+
+  const std::string family = "pcx_requests_verb_total";
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(family + "{", 0) != 0) continue;
+    const std::string labels =
+        line.substr(family.size(), line.find('}') + 1 - family.size());
+    const double count = std::strtod(line.c_str() + line.rfind(' ') + 1,
+                                     nullptr);
+    EXPECT_EQ(SampleValue(text, "pcx_request_latency_us_count" + labels),
+              count)
+        << labels;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -323,6 +339,40 @@ std::vector<std::string> RecvAllLines(int fd) {
   return lines;
 }
 
+/// Reads exactly `n` reply lines (the client has sent requests for no
+/// more than that).
+std::vector<std::string> RecvLines(int fd, size_t n) {
+  std::vector<std::string> lines;
+  std::string partial;
+  char c;
+  while (lines.size() < n && ::read(fd, &c, 1) == 1) {
+    if (c == '\n') {
+      lines.push_back(partial);
+      partial.clear();
+    } else {
+      partial += c;
+    }
+  }
+  PCX_CHECK(lines.size() == n) << "connection closed early";
+  return lines;
+}
+
+/// Serves `server` on an event loop for one connection, hands that
+/// connection to `client`, and returns once the loop has finished.
+void WithEventLoopClient(BoundServer& server,
+                         EventLoopListener::Options options,
+                         const std::function<void(int fd)>& client) {
+  StatusOr<EventLoopListener> listener = EventLoopListener::Bind(0);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  const uint16_t port = listener->port();
+  options.max_clients = 1;
+  std::thread serve([&] { (void)listener->Serve(server, options); });
+  const int fd = RawConnect(port);
+  client(fd);
+  ::close(fd);
+  serve.join();
+}
+
 /// The mixed workload the transport test runs: every verb class, an
 /// unknown command (the OTHER bucket), and a QUIT.
 constexpr const char* kMixedWorkload =
@@ -370,6 +420,127 @@ TEST(ReconciliationTest, EventLoopTransportCountsEveryVerbOnce) {
       text, "pcx_request_latency_us_count{verb=\"BOUND\"}");
   ASSERT_TRUE(bound_lat.has_value());
   EXPECT_EQ(*bound_lat, 2.0);
+}
+
+TEST(ReconciliationTest, EventLoopTimesRequestsItAnswersInline) {
+  // Requests the event loop answers itself, without HandleLine: a
+  // malformed BOUND, overload rejections of a coalesced BOUND, a
+  // GROUPBY and a traced BOUND, and QUIT. With max_conn_pending=2 the
+  // two well-formed BOUNDs fill the pipeline and everything after them
+  // that needs the solver is shed.
+  BoundServer server;
+  ASSERT_TRUE(server.LoadSnapshotFile(WriteTestSnapshot("inline_ev")).ok());
+  EventLoopListener::Options options;
+  options.solver_threads = 1;
+  options.max_conn_pending = 2;
+  std::vector<std::string> lines;
+  WithEventLoopClient(server, options, [&](int fd) {
+    SendAll(fd,
+            "BOUND COUNT\n"
+            "BOUND COUNT 0\n"
+            "BOUND COUNT 0\n"
+            "BOUND COUNT 0\n"
+            "GROUPBY MIN 2 0 5,30\n"
+            "TRACE ON\n"
+            "BOUND COUNT 0\n"
+            "QUIT\n");
+    lines = RecvAllLines(fd);
+  });
+  ASSERT_EQ(lines.size(), 8u);
+  EXPECT_EQ(lines[0].rfind("ERR INVALID_ARGUMENT", 0), 0u) << lines[0];
+  EXPECT_EQ(lines[1] + "\n", kCountReply);
+  EXPECT_EQ(lines[2] + "\n", kCountReply);
+  for (size_t i : {3u, 4u, 6u}) {
+    EXPECT_EQ(lines[i].rfind("ERR UNAVAILABLE", 0), 0u) << lines[i];
+  }
+  EXPECT_EQ(lines[5], "OK trace=1");
+  EXPECT_EQ(lines[7], "BYE");
+
+  ExpectVerbReconciliation(server);
+  const std::string text = server.metrics().Exposition();
+  EXPECT_EQ(SampleValue(text, "pcx_requests_verb_total{verb=\"BOUND\"}"),
+            5.0);
+  EXPECT_EQ(SampleValue(text, "pcx_request_latency_us_count{verb=\"GROUPBY\"}"),
+            1.0);
+  EXPECT_EQ(SampleValue(text, "pcx_overload_rejections_total"), 3.0);
+}
+
+TEST(ReconciliationTest, EventLoopBoundWithoutSnapshotIsTimed) {
+  BoundServer server;
+  std::vector<std::string> lines;
+  WithEventLoopClient(server, {}, [&](int fd) {
+    SendAll(fd, "BOUND COUNT 0\nQUIT\n");
+    lines = RecvAllLines(fd);
+  });
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0].rfind("ERR FAILED_PRECONDITION", 0), 0u) << lines[0];
+  ExpectVerbReconciliation(server);
+  EXPECT_EQ(SampleValue(server.metrics().Exposition(),
+                        "pcx_request_latency_us_count{verb=\"BOUND\"}"),
+            1.0);
+}
+
+/// Value of `key=` in a one-line STATS/HEALTH reply.
+double FieldIn(const std::string& reply, const std::string& key) {
+  const size_t at = reply.find(" " + key + "=");
+  PCX_CHECK(at != std::string::npos) << key << " missing from " << reply;
+  return std::strtod(reply.c_str() + at + key.size() + 2, nullptr);
+}
+
+TEST(CounterStoreTest, StatsHealthAndMetricsAgreeAcrossAnEpoch) {
+  // STATS, HEALTH and METRICS are views of one registry: they agree,
+  // and the solver counters carry across the APPEND's epoch swap.
+  BoundServer server;
+  ASSERT_TRUE(server.LoadSnapshotFile(WriteTestSnapshot("views")).ok());
+  constexpr size_t kBefore = 5;
+  constexpr size_t kAfter = 3;
+  std::string stats;
+  std::string health;
+  std::string text;
+  WithEventLoopClient(server, {}, [&](int fd) {
+    std::string burst;
+    for (size_t i = 0; i < kBefore; ++i) burst += "BOUND COUNT 0\n";
+    SendAll(fd, burst);
+    for (const std::string& line : RecvLines(fd, kBefore)) {
+      EXPECT_EQ(line + "\n", kCountReply);
+    }
+    SendAll(fd, "APPEND pred={0:[0,5]} values={2:[0,1]} freq=[0,1]\n");
+    EXPECT_EQ(RecvLines(fd, 1)[0].rfind("OK epoch=2", 0), 0u);
+    burst.clear();
+    for (size_t i = 0; i < kAfter; ++i) burst += "BOUND COUNT 0 {0:[30,40]}\n";
+    SendAll(fd, burst);
+    RecvLines(fd, kAfter);
+    SendAll(fd, "STATS\n");
+    stats = RecvLines(fd, 1)[0];
+    SendAll(fd, "HEALTH\n");
+    health = RecvLines(fd, 1)[0];
+    // No request is in flight: the registry holds what the replies saw.
+    text = server.metrics().Exposition();
+    SendAll(fd, "QUIT\n");
+    EXPECT_EQ(RecvLines(fd, 1)[0], "BYE");
+  });
+
+  EXPECT_EQ(FieldIn(stats, "epoch"), 2.0) << stats;
+  EXPECT_EQ(FieldIn(stats, "queries"),
+            static_cast<double>(kBefore + kAfter))
+      << stats;
+  EXPECT_EQ(FieldIn(stats, "queries"),
+            SumFamilySamples(text, "pcx_bound_queries_total"))
+      << text;
+  EXPECT_EQ(FieldIn(stats, "sat_calls"), SampleValue(text, "pcx_sat_calls_total"));
+  EXPECT_EQ(FieldIn(health, "requests"), SampleValue(text, "pcx_requests_total"))
+      << health;
+  EXPECT_EQ(FieldIn(health, "sessions"), SampleValue(text, "pcx_sessions_total"))
+      << health;
+  EXPECT_EQ(FieldIn(health, "sessions"), 1.0);
+  EXPECT_GT(FieldIn(stats, "coalesced_batches"), 0.0);
+  EXPECT_EQ(FieldIn(stats, "coalesced_batches"),
+            SampleValue(text, "pcx_coalesce_batch_size_count"))
+      << stats;
+  EXPECT_EQ(FieldIn(stats, "coalesced_reqs"),
+            static_cast<double>(kBefore + kAfter));
+  EXPECT_EQ(FieldIn(stats, "coalesced_reqs"),
+            SampleValue(text, "pcx_coalesce_batch_size_sum"));
 }
 
 TEST(ReconciliationTest, EventLoopTraceRoundTripAnnotates) {

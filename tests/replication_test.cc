@@ -230,6 +230,10 @@ TEST(SyncTest, FullResyncThenTailShipping) {
 
   BoundServer replica;
   LoopbackTransport transport(primary);
+  // The replication counts live in the replica's registry.
+  auto counter = [&replica](const char* name) {
+    return replica.metrics().GetCounter(name).value();
+  };
 
   // Round 1: empty replica — the primary streams its whole snapshot.
   StatusOr<uint64_t> synced = ReplicaTailer::SyncOnce(transport, replica);
@@ -237,12 +241,12 @@ TEST(SyncTest, FullResyncThenTailShipping) {
   EXPECT_EQ(*synced, 3u);
   ASSERT_NE(replica.solver(), nullptr);
   EXPECT_EQ(replica.solver()->epoch(), 3u);
-  EXPECT_EQ(replica.replication().snapshots_installed.load(), 1u);
+  EXPECT_EQ(counter("pcx_replication_snapshots_installed_total"), 1u);
 
   // Round 2: caught up — nothing ships.
   synced = ReplicaTailer::SyncOnce(transport, replica);
   ASSERT_TRUE(synced.ok());
-  EXPECT_EQ(replica.replication().records_applied.load(), 0u);
+  EXPECT_EQ(counter("pcx_replication_records_applied_total"), 0u);
 
   // Round 3: mutate the primary (including a checkpoint, which compacts
   // the primary's log base but must keep the tail shippable), then tail.
@@ -254,9 +258,10 @@ TEST(SyncTest, FullResyncThenTailShipping) {
   ASSERT_TRUE(synced.ok()) << synced.status();
   EXPECT_EQ(*synced, 6u);
   EXPECT_EQ(replica.solver()->epoch(), 6u);
-  EXPECT_EQ(replica.replication().records_applied.load(), 3u);
-  EXPECT_EQ(replica.replication().snapshots_installed.load(), 1u);
-  EXPECT_EQ(replica.replication().primary_epoch.load(), 6u);
+  EXPECT_EQ(counter("pcx_replication_records_applied_total"), 3u);
+  EXPECT_EQ(counter("pcx_replication_snapshots_installed_total"), 1u);
+  EXPECT_EQ(
+      replica.metrics().GetGauge("pcx_replication_primary_epoch").value(), 6);
 
   // The replica's answers are bit-identical to the primary's.
   Rng probe_rng(9);

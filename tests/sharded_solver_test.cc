@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "baselines/pc_estimator.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "eval/harness.h"
 #include "pc/group_by.h"
@@ -228,6 +229,55 @@ TEST(ShardedSolverTest, RoutingStatsAndUnionMemoization) {
   outside.AddRange(0, -900.0, -800.0);
   ASSERT_TRUE(sharded.Bound(AggQuery::Count(outside)).ok());
   EXPECT_EQ(sharded.stats().no_shard_queries, 1u);
+}
+
+TEST(ShardedSolverTest, StatsAreRegistryViewsSharedAcrossApplyDeltas) {
+  Rng rng(31);
+  const PredicateConstraintSet pcs = RandomSet(rng, 4, /*integral=*/true);
+  ShardedBoundSolver::Options opts;
+  opts.partition = {4, PartitionStrategy::kAttributeRange};
+
+  // Without Options::metrics a solver counts into a registry it owns:
+  // its ApplyDeltas successors add to the same counters, an unrelated
+  // solver does not.
+  const auto base = std::make_shared<const ShardedBoundSolver>(
+      pcs, std::vector<AttrDomain>{}, opts);
+  const ShardedBoundSolver unrelated(pcs, {}, opts);
+  ASSERT_TRUE(base->Bound(AggQuery::Count()).ok());
+  DeltaRecord retire;
+  retire.epoch = base->epoch() + 1;
+  retire.op = DeltaOp::kRetire;
+  retire.retire_index = 0;
+  const auto next = base->ApplyDeltas(std::span<const DeltaRecord>(&retire, 1));
+  ASSERT_TRUE(next.ok()) << next.status();
+  ASSERT_TRUE((*next)->Bound(AggQuery::Count()).ok());
+  // A query rejected before routing is counted under no shard.
+  EXPECT_FALSE((*next)->Bound(AggQuery::Sum(17)).ok());
+  EXPECT_EQ((*next)->stats().queries, 3u);
+  EXPECT_EQ((*next)->stats().no_shard_queries, 1u);
+  EXPECT_EQ(base->stats().queries, 3u);
+  EXPECT_EQ(unrelated.stats().queries, 0u);
+
+  // A caller's registry holds the series stats() reads.
+  MetricsRegistry registry;
+  opts.metrics = &registry;
+  const ShardedBoundSolver shared(pcs, {}, opts);
+  std::vector<PcBoundSolver::SolveStats> per_query;
+  const std::vector<AggQuery> queries = QueryPanel(4, rng);
+  shared.BoundBatch(queries, &per_query);
+  PcBoundSolver::SolveStats total;
+  for (const PcBoundSolver::SolveStats& q : per_query) total += q;
+  const ShardedBoundSolver::ServeStats s = shared.stats();
+  EXPECT_EQ(s.queries, queries.size());
+  EXPECT_EQ(registry.GetCounter("pcx_bound_queries_total", {{"fanout", "single"}})
+                .value(),
+            s.single_shard_queries);
+  EXPECT_EQ(s.solve.num_cells, total.num_cells);
+  EXPECT_EQ(s.solve.sat_calls, total.sat_calls);
+  EXPECT_EQ(registry.GetCounter("pcx_sat_calls_total").value(),
+            total.sat_calls);
+  EXPECT_EQ(s.solve.milp_nodes, total.milp_nodes);
+  EXPECT_EQ(s.solve.lp_pivots, total.lp_pivots);
 }
 
 TEST(ShardedSolverTest, PersistentSatCacheAmortizesRepeatQueries) {

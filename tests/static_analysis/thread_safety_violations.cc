@@ -23,8 +23,8 @@ namespace pcx {
 namespace {
 
 /// Mirrors the shape of the real annotated classes: two ordered locks
-/// (ShardedBoundSolver's cache_mu_ -> stats_mu_), guarded fields, and a
-/// lock-held helper.
+/// (BoundServer's mutate_mu_ -> mu_), guarded fields, and a lock-held
+/// helper.
 class Fixture {
  public:
   // -- Baseline: correct under every invariant. --------------------
