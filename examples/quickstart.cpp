@@ -19,8 +19,9 @@
 //     process (cell decomposition + MILP per query, greedy fast path
 //     for disjoint predicates), "snapshot:v.pcxsnap?shards=8" solves
 //     sharded, "tcp:host:port" asks a pcx_serve server, and
-//     "mirror:a|b" cross-checks replicas bit-for-bit. Identical code,
-//     identical answers, by the engine's bit-identity guarantee.
+//     "failover:a|b" asks the first live of a primary and its
+//     replicas. Identical code, identical answers, by the engine's
+//     bit-identity guarantee.
 //  4. Bound returns a StatusOr<ResultRange>: a hard [lo, hi] interval
 //     that the true aggregate of the missing rows cannot escape as long
 //     as the constraints are correct — unlike a sampling confidence

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "baselines/estimator.h"
-#include "engine/engine.h"
 #include "engine/local_backend.h"
 #include "engine/sharded_backend.h"
 
@@ -30,7 +29,7 @@ class PcEstimator : public MissingDataEstimator {
               PcBoundSolver::Options options, std::string name)
       : backend_(std::make_shared<LocalBackend>(
             std::move(pcs), std::move(domains),
-            LocalBackend::Options{options, 0, 0})),
+            LocalBackend::Options{options, 0})),
         name_(std::move(name)) {}
 
   StatusOr<ResultRange> Estimate(const AggQuery& query) const override {
@@ -79,33 +78,6 @@ class ShardedPcEstimator : public MissingDataEstimator {
 
  private:
   std::shared_ptr<ShardedBackend> backend_;
-  std::string name_;
-};
-
-/// The fully general adapter: ANY engine — a remote server, a mirror
-/// over replicas, whatever Engine::Open produced — run through the §6
-/// evaluation harness. With a "tcp:" engine this turns the harness into
-/// an end-to-end serving validator: failure rate and tightness must
-/// match the in-process PcEstimator's because answers are bit-identical
-/// across backends.
-class EngineEstimator : public MissingDataEstimator {
- public:
-  EngineEstimator(Engine engine, std::string name)
-      : engine_(std::move(engine)), name_(std::move(name)) {}
-
-  StatusOr<ResultRange> Estimate(const AggQuery& query) const override {
-    return engine_.Bound(query);
-  }
-  std::vector<StatusOr<ResultRange>> EstimateBatch(
-      std::span<const AggQuery> queries) const override {
-    return engine_.BoundBatch(queries);
-  }
-  std::string name() const override { return name_; }
-
-  const Engine& engine() const { return engine_; }
-
- private:
-  Engine engine_;
   std::string name_;
 };
 

@@ -28,8 +28,6 @@ const char* StatusCodeToString(StatusCode code) {
       return "UNAVAILABLE";
     case StatusCode::kProtocolError:
       return "PROTOCOL_ERROR";
-    case StatusCode::kDivergence:
-      return "DIVERGENCE";
   }
   return "UNKNOWN";
 }
@@ -41,7 +39,7 @@ bool ParseStatusCode(const std::string& name, StatusCode* code) {
         StatusCode::kUnimplemented, StatusCode::kInternal,
         StatusCode::kResourceExhausted, StatusCode::kInfeasible,
         StatusCode::kUnbounded, StatusCode::kUnavailable,
-        StatusCode::kProtocolError, StatusCode::kDivergence}) {
+        StatusCode::kProtocolError}) {
     if (name == StatusCodeToString(c)) {
       *code = c;
       return true;

@@ -27,9 +27,6 @@ enum class StatusCode {
   /// as RANGE/GROUPS/STATS/ERR. Distinguishable from kInvalidArgument
   /// (the *request* was bad) and kUnavailable (the connection died).
   kProtocolError,
-  /// Mirrored replicas returned answers that were not bit-identical —
-  /// a violation of the same-epoch determinism guarantee.
-  kDivergence,
 };
 
 /// Returns a stable human-readable name for a status code. These names
@@ -87,9 +84,6 @@ class [[nodiscard]] Status {
   }
   static Status ProtocolError(std::string msg) {
     return Status(StatusCode::kProtocolError, std::move(msg));
-  }
-  static Status Divergence(std::string msg) {
-    return Status(StatusCode::kDivergence, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

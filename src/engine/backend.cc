@@ -30,6 +30,14 @@ StatusOr<HealthInfo> BoundBackend::Health() {
   return health;
 }
 
+StatusOr<std::string> BoundBackend::Command(const std::string& line) {
+  return Status::Unimplemented(
+      line.substr(0, line.find(' ')) +
+      " needs a served engine (tcp: or failover:); an in-process engine has "
+      "no server. pcx_serve --snapshot=PATH serves the set and answers "
+      "server verbs such as STATS and HEALTH on stdio");
+}
+
 bool BitIdenticalRanges(const ResultRange& a, const ResultRange& b) {
   return std::memcmp(&a.lo, &b.lo, sizeof(double)) == 0 &&
          std::memcmp(&a.hi, &b.hi, sizeof(double)) == 0 &&

@@ -69,12 +69,12 @@ struct HealthInfo {
 /// these predicate constraints" — behind one interface, however the
 /// bounding is physically executed: in process (LocalBackend), across
 /// shards (ShardedBackend), on another machine speaking the pcx_serve
-/// protocol (RemoteBackend), or on N replicas checked against each
-/// other (MirrorBackend). Everything a caller can observe is defined by
-/// the unsharded PcBoundSolver over the same constraint set at the same
+/// protocol (RemoteBackend), or on whichever of N replicas is alive
+/// (FailoverBackend). Everything a caller can observe is defined by the
+/// unsharded PcBoundSolver over the same constraint set at the same
 /// epoch: conforming backends return *bit-identical* ResultRanges and
-/// the same typed StatusCodes, which is what makes replicas and
-/// consistency checking possible (see MirrorBackend).
+/// the same typed StatusCodes, which is what makes a replica a drop-in
+/// for its primary (backend_equivalence_test checks it).
 ///
 /// Backends are internally synchronized: concurrent calls from several
 /// threads are safe on every implementation (the remote backend
@@ -112,21 +112,27 @@ class BoundBackend {
   virtual StatusOr<EngineStats> Stats() = 0;
 
   /// Constraint-set version. Two backends at the same epoch answer
-  /// every query bit-identically; MirrorBackend enforces exactly that.
+  /// every query bit-identically.
   virtual StatusOr<uint64_t> Epoch() = 0;
 
   /// Liveness check that never requires a loaded constraint set. The
   /// default derives it from Stats() (mapping the pre-LOAD
   /// kFailedPrecondition to `loaded == false`); RemoteBackend overrides
-  /// it with the HEALTH wire verb, MirrorBackend with a skew-tolerant
-  /// all-replica sweep.
+  /// it with the HEALTH wire verb.
   virtual StatusOr<HealthInfo> Health();
+
+  /// Sends one pcx_serve protocol line with a single-line reply (LOAD,
+  /// APPEND, RETIRE, CHECKPOINT, TRACE, STATS, HEALTH) to the serving
+  /// process and returns the server's reply line unchanged; an ERR
+  /// reply comes back as its typed Status. The default is
+  /// kUnimplemented: in-process backends have no server to ask.
+  virtual StatusOr<std::string> Command(const std::string& line);
 };
 
 /// True iff the two ranges are indistinguishable to any observer,
 /// including the sign of zero ("MIN = -0.0" must survive a replica
-/// comparison and a wire round-trip). This is the equality MirrorBackend
-/// and the cross-backend tests assert.
+/// comparison and a wire round-trip). This is the equality the
+/// cross-backend tests assert.
 bool BitIdenticalRanges(const ResultRange& a, const ResultRange& b);
 
 }  // namespace pcx

@@ -6,7 +6,6 @@
 
 #include "common/text.h"
 #include "engine/failover_backend.h"
-#include "engine/mirror_backend.h"
 #include "engine/remote_backend.h"
 #include "engine/sharded_backend.h"
 #include "pc/serialization.h"
@@ -17,7 +16,7 @@ namespace pcx {
 
 namespace {
 
-constexpr const char* kSchemes = "local:/snapshot:/tcp:/mirror:/failover:";
+constexpr const char* kSchemes = "local:/snapshot:/tcp:/failover:";
 
 struct UriBody {
   std::string path;
@@ -177,22 +176,6 @@ StatusOr<Engine> OpenTcp(const std::string& body) {
   return Engine::FromBackend(std::move(backend));
 }
 
-StatusOr<Engine> OpenMirror(const std::string& body,
-                            const Engine::Options& options) {
-  std::vector<std::shared_ptr<BoundBackend>> replicas;
-  for (const std::string& part : SplitOn(body, '|')) {
-    if (part.empty()) continue;
-    PCX_ASSIGN_OR_RETURN(Engine replica, Engine::Open(part, options));
-    replicas.push_back(replica.backend());
-  }
-  if (replicas.empty()) {
-    return Status::InvalidArgument(
-        "mirror: URI needs at least one replica URI (mirror:<uri>|<uri>)");
-  }
-  return Engine::FromBackend(
-      std::make_shared<MirrorBackend>(std::move(replicas), options.mirror));
-}
-
 StatusOr<Engine> OpenFailover(const std::string& body,
                               const Engine::Options& options) {
   std::vector<std::string> uris;
@@ -211,8 +194,7 @@ StatusOr<Engine> OpenFailover(const std::string& body,
     const size_t colon = uri.find(':');
     const std::string scheme =
         colon == std::string::npos ? "" : uri.substr(0, colon);
-    if (scheme != "local" && scheme != "snapshot" && scheme != "tcp" &&
-        scheme != "mirror") {
+    if (scheme != "local" && scheme != "snapshot" && scheme != "tcp") {
       return Status::InvalidArgument("failover: candidate '" + uri +
                                      "' has no usable scheme (want " +
                                      std::string(kSchemes) + ")");
@@ -238,7 +220,6 @@ StatusOr<Engine> Engine::Open(const std::string& uri, Options options) {
   const std::string scheme = uri.substr(0, colon);
   const std::string body = uri.substr(colon + 1);
   if (scheme == "tcp") return OpenTcp(body);
-  if (scheme == "mirror") return OpenMirror(body, options);
   if (scheme == "failover") return OpenFailover(body, options);
   PCX_ASSIGN_OR_RETURN(const UriBody parsed, SplitParams(body));
   if (scheme == "local") return OpenLocal(parsed, std::move(options));
@@ -259,15 +240,6 @@ Engine Engine::Sharded(PredicateConstraintSet pcs,
                        ShardedBoundSolver::Options options) {
   return Engine(std::make_shared<ShardedBackend>(std::move(pcs),
                                                  std::move(domains), options));
-}
-
-Engine Engine::Mirror(std::vector<Engine> replicas,
-                      MirrorBackend::Options options) {
-  std::vector<std::shared_ptr<BoundBackend>> backends;
-  backends.reserve(replicas.size());
-  for (Engine& e : replicas) backends.push_back(e.backend());
-  return Engine(
-      std::make_shared<MirrorBackend>(std::move(backends), options));
 }
 
 Engine Engine::FromBackend(std::shared_ptr<BoundBackend> backend) {

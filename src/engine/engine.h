@@ -7,7 +7,6 @@
 
 #include "engine/backend.h"
 #include "engine/local_backend.h"
-#include "engine/mirror_backend.h"
 #include "engine/query_builder.h"
 #include "serve/sharded_solver.h"
 
@@ -19,7 +18,7 @@ namespace pcx {
 ///   PCX_ASSIGN_OR_RETURN(Engine eng, Engine::Open("snapshot:v7.pcxsnap?shards=8"));
 ///   PCX_ASSIGN_OR_RETURN(Engine eng, Engine::Open("tcp:127.0.0.1:7070"));
 ///   PCX_ASSIGN_OR_RETURN(Engine eng,
-///       Engine::Open("mirror:local:sensors.pcset|tcp:127.0.0.1:7070"));
+///       Engine::Open("failover:tcp:10.0.0.1:7070|tcp:10.0.0.2:7070"));
 ///
 /// URI grammar: `scheme:body[?key=value&key=value]`.
 ///
@@ -31,14 +30,15 @@ namespace pcx {
 ///                             strategy=range|roundrobin, threads=N
 ///   tcp:<host>:<port>         RemoteBackend speaking the pcx_serve
 ///                             line protocol
-///   mirror:<uri>|<uri>|...    MirrorBackend over the listed replicas
-///                             (each opened recursively; first is primary)
+///   failover:<uri>|<uri>|...  FailoverBackend: answers from one live
+///                             candidate, falling over to the next when
+///                             it dies (first is the primary)
 ///
 /// An Engine is a cheap copyable handle (shared backend ownership);
 /// Bound/BoundBatch/... forward to the backend, and the QueryBuilder
 /// overloads resolve column names against the engine's attribute count.
 /// In-memory constraint sets skip URIs entirely via Engine::Local /
-/// Engine::Sharded / Engine::Mirror.
+/// Engine::Sharded.
 class Engine {
  public:
   struct Options {
@@ -51,9 +51,6 @@ class Engine {
     /// is the per-shard solver configuration). URI parameters override
     /// the partition/threads fields.
     ShardedBoundSolver::Options sharded;
-    /// Replica-checking configuration for "mirror:" URIs (epoch skew
-    /// tolerated by Health() during rolling reloads).
-    MirrorBackend::Options mirror;
   };
 
   /// Empty handle; valid() is false and every query fails. Assign from
@@ -68,8 +65,6 @@ class Engine {
   static Engine Sharded(PredicateConstraintSet pcs,
                         std::vector<AttrDomain> domains,
                         ShardedBoundSolver::Options options = {});
-  static Engine Mirror(std::vector<Engine> replicas,
-                       MirrorBackend::Options options = {});
   static Engine FromBackend(std::shared_ptr<BoundBackend> backend);
 
   bool valid() const { return backend_ != nullptr; }
@@ -88,7 +83,7 @@ class Engine {
   StatusOr<EngineStats> Stats() const;
   StatusOr<uint64_t> Epoch() const;
   /// Liveness: succeeds on a reachable-but-empty backend (see
-  /// HealthInfo); mirror engines sweep every replica.
+  /// HealthInfo).
   StatusOr<HealthInfo> Health() const;
 
   /// QueryBuilder front door: builds against num_attrs() and runs.

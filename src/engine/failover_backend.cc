@@ -18,7 +18,12 @@ bool IsFailoverWorthy(const Status& status) {
 FailoverBackend::FailoverBackend(std::vector<std::string> uris, Opener opener)
     : uris_(std::move(uris)),
       opener_(std::move(opener)),
-      slots_(uris_.size()) {}
+      slots_(uris_.size()) {
+  // Open and probe the candidates once so num_attrs() answers before the
+  // first call: callers parse attribute-indexed queries against it.
+  MutexLock lock(mu_);
+  (void)PickLocked();
+}
 
 std::string FailoverBackend::name() const {
   std::string out = "failover:";
@@ -141,6 +146,11 @@ StatusOr<uint64_t> FailoverBackend::Epoch() {
 StatusOr<HealthInfo> FailoverBackend::Health() {
   return WithFailover<HealthInfo>(
       [](BoundBackend& b) { return b.Health(); });
+}
+
+StatusOr<std::string> FailoverBackend::Command(const std::string& line) {
+  return WithFailover<std::string>(
+      [&](BoundBackend& b) { return b.Command(line); });
 }
 
 }  // namespace pcx

@@ -12,14 +12,13 @@
 
 namespace pcx {
 
-/// The availability counterpart of MirrorBackend: instead of asking all
-/// candidates and comparing, ask ONE and fall over to the next when it
-/// dies. Built for the primary/replica serving topology — candidate 0
-/// is the primary, the rest are read-only replicas tailing it via the
-/// SYNC verb — but any list of backend URIs works.
+/// The availability backend: ask ONE candidate and fall over to the
+/// next when it dies. Built for the primary/replica serving topology —
+/// candidate 0 is the primary, the rest are read-only replicas tailing
+/// it via the SYNC verb — but any list of backend URIs works.
 ///
-/// Selection: the first time a call needs a backend (and again after
-/// every demotion) all candidates are probed with Health() and the one
+/// Selection: at construction and before every call, all candidates
+/// are probed with Health() (unopened ones are opened first) and the one
 /// with the freshest loaded epoch wins; ties go to the lowest index, so
 /// a caught-up primary is always preferred over its replicas. A call
 /// that fails with kUnavailable or kProtocolError demotes the candidate
@@ -40,8 +39,10 @@ class FailoverBackend : public BoundBackend {
   using Opener =
       std::function<StatusOr<std::shared_ptr<BoundBackend>>(const std::string&)>;
 
-  /// At least one URI. Candidates are opened lazily on first use —
-  /// a dead replica URI must not prevent construction.
+  /// At least one URI. Construction makes one pick, so num_attrs() is
+  /// known before the first call; candidates that do not answer stay
+  /// closed and are retried by later picks — a dead replica URI (or an
+  /// entirely dead list) must not prevent construction.
   FailoverBackend(std::vector<std::string> uris, Opener opener);
 
   std::string name() const override;
@@ -53,6 +54,9 @@ class FailoverBackend : public BoundBackend {
   StatusOr<EngineStats> Stats() override;
   StatusOr<uint64_t> Epoch() override;
   StatusOr<HealthInfo> Health() override;
+  /// Forwards the line to the picked candidate, failing over like every
+  /// other call.
+  StatusOr<std::string> Command(const std::string& line) override;
 
   size_t num_candidates() const { return uris_.size(); }
 

@@ -60,7 +60,6 @@ StatusOr<std::vector<GroupRange>> LocalBackend::BoundGroupBy(
 StatusOr<EngineStats> LocalBackend::Stats() {
   MutexLock lock(mu_);
   EngineStats out;
-  out.epoch = options_.epoch;
   out.num_shards = 1;
   out.num_pcs = solver_.constraints().size();
   out.num_attrs = solver_.constraints().num_attrs();

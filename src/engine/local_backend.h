@@ -22,10 +22,6 @@ class LocalBackend : public BoundBackend {
     /// Fan-out width for BoundBatch / BoundGroupBy (0 = hardware
     /// concurrency, 1 = sequential).
     size_t num_threads = 0;
-    /// Constraint-set version label. Local sets default to epoch 0;
-    /// give replicas of the same set the same epoch so MirrorBackend
-    /// can pair them with snapshot-loaded backends.
-    uint64_t epoch = 0;
   };
 
   LocalBackend(PredicateConstraintSet pcs, std::vector<AttrDomain> domains);
@@ -41,7 +37,8 @@ class LocalBackend : public BoundBackend {
       const AggQuery& query, size_t group_attr,
       const std::vector<double>& group_values) override;
   StatusOr<EngineStats> Stats() override;
-  StatusOr<uint64_t> Epoch() override { return options_.epoch; }
+  /// A local set is never versioned: always epoch 0.
+  StatusOr<uint64_t> Epoch() override { return 0; }
 
   const PcBoundSolver& solver() const { return solver_; }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 #include <thread>
@@ -280,7 +279,7 @@ StatusOr<std::unique_ptr<RemoteBackend>> RemoteBackend::Connect(
                        TcpClientTransport::Connect(host, port));
   auto backend = std::make_unique<RemoteBackend>(
       std::move(transport), "tcp:" + host + ":" + std::to_string(port));
-  const Status info = backend->RefreshInfo();
+  const Status info = backend->Stats().status();
   // A server with no snapshot loaded answers STATS with
   // FAILED_PRECONDITION; the connection itself is good.
   if (!info.ok() && info.code() != StatusCode::kFailedPrecondition) {
@@ -320,7 +319,8 @@ Status RemoteBackend::PoisonProtocol(std::string message) {
   return Status::ProtocolError(std::move(message));
 }
 
-StatusOr<EngineStats> RemoteBackend::StatsLocked() {
+StatusOr<EngineStats> RemoteBackend::Stats() {
+  MutexLock lock(mu_);
   PCX_ASSIGN_OR_RETURN(const std::string reply, RoundTrip("STATS"));
   const std::vector<std::string> tokens = SplitWhitespace(reply);
   if (!tokens.empty() && tokens[0] == "ERR") return ParseErrorReply(reply);
@@ -329,29 +329,15 @@ StatusOr<EngineStats> RemoteBackend::StatsLocked() {
   }
   const EngineStats stats = ParseStatsReply(tokens);
   num_attrs_ = stats.num_attrs;
-  epoch_ = stats.epoch;
-  info_known_ = true;
   return stats;
 }
 
-Status RemoteBackend::RefreshInfo() {
-  MutexLock lock(mu_);
-  return StatsLocked().status();
-}
-
 Status RemoteBackend::Load(const std::string& snapshot_path) {
-  MutexLock lock(mu_);
   PCX_ASSIGN_OR_RETURN(const std::string reply,
-                       RoundTrip("LOAD " + snapshot_path));
-  const std::vector<std::string> tokens = SplitWhitespace(reply);
-  if (!tokens.empty() && tokens[0] == "ERR") return ParseErrorReply(reply);
-  if (tokens.empty() || tokens[0] != "OK") {
+                       Command("LOAD " + snapshot_path));
+  if (reply.rfind("OK ", 0) != 0) {
     return Status::ProtocolError("unexpected LOAD reply '" + reply + "'");
   }
-  const EngineStats info = ParseStatsReply(tokens);
-  num_attrs_ = info.num_attrs;
-  epoch_ = info.epoch;
-  info_known_ = true;
   return Status::OK();
 }
 
@@ -388,12 +374,9 @@ StatusOr<std::string> RemoteBackend::Command(const std::string& line) {
   PCX_ASSIGN_OR_RETURN(const std::string reply, RoundTrip(line));
   const std::vector<std::string> tokens = SplitWhitespace(reply);
   if (!tokens.empty() && tokens[0] == "ERR") return ParseErrorReply(reply);
-  if (tokens.size() >= 2 && tokens[0] == "OK") {
-    for (const std::string& tok : tokens) {
-      if (tok.rfind("epoch=", 0) == 0) {
-        epoch_ = std::strtoull(tok.c_str() + 6, nullptr, 10);
-      }
-    }
+  // LOAD's OK, STATS and HEALTH name the served set's attribute count.
+  if (const size_t attrs = ParseStatsReply(tokens).num_attrs; attrs != 0) {
+    num_attrs_ = attrs;
   }
   return reply;
 }
@@ -507,11 +490,6 @@ StatusOr<std::vector<GroupRange>> RemoteBackend::BoundGroupBy(
   return groups;
 }
 
-StatusOr<EngineStats> RemoteBackend::Stats() {
-  MutexLock lock(mu_);
-  return StatsLocked();
-}
-
 StatusOr<HealthInfo> RemoteBackend::Health() {
   {
     MutexLock lock(mu_);
@@ -537,7 +515,6 @@ StatusOr<HealthInfo> RemoteBackend::Health() {
         else if (key == "pcs") health.num_pcs = static_cast<size_t>(*v);
         else if (key == "attrs" && *v != 0) {
           num_attrs_ = static_cast<size_t>(*v);  // free info refresh
-          info_known_ = true;
         } else if (key == "uptime_s") health.uptime_seconds = *v;
         else if (key == "sessions") health.sessions = *v;
         else if (key == "requests") health.requests = *v;
@@ -546,7 +523,6 @@ StatusOr<HealthInfo> RemoteBackend::Health() {
         else if (key == "lag") health.replication_lag = *v;
         // Unknown keys from newer servers are ignored.
       }
-      if (health.loaded) epoch_ = health.epoch;
       return health;
     } else {
       return Status::ProtocolError("unexpected HEALTH reply '" + reply + "'");

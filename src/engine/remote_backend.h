@@ -73,8 +73,7 @@ class StreamTransport : public LineTransport {
 /// distinguishable instead of collapsing into strings. Number formatting
 /// is the round-trippable pc/serialization one at both ends, so ranges
 /// arrive bit-identical to what the server's solver computed, -0.0
-/// included — which is what lets MirrorBackend compare a remote replica
-/// against a local one.
+/// included.
 ///
 /// Calls are internally serialized onto the single protocol session, so
 /// a RemoteBackend can be shared between threads like any backend.
@@ -114,14 +113,14 @@ class RemoteBackend : public BoundBackend {
   /// calls; they see either the old or the new policy, never a torn one.
   void set_retry_policy(RetryPolicy policy);
 
-  /// Connects to a serving pcx_serve and primes num_attrs()/Epoch()
+  /// Connects to a serving pcx_serve and primes num_attrs()
   /// from a STATS round-trip (a server with no snapshot loaded yet is
   /// fine; num_attrs() stays 0 until Load).
   static StatusOr<std::unique_ptr<RemoteBackend>> Connect(
       const std::string& host, uint16_t port);
 
   /// Asks the server to load a snapshot (the LOAD command); on success
-  /// refreshes the cached attribute count and epoch from the reply.
+  /// refreshes the cached attribute count from the reply.
   Status Load(const std::string& snapshot_path);
 
   /// The METRICS wire verb: fetches the server's Prometheus text
@@ -130,12 +129,10 @@ class RemoteBackend : public BoundBackend {
   /// (the reply-stream offset is unknown mid-block).
   StatusOr<std::string> Metrics();
 
-  /// Sends one protocol line verbatim — the mutation verbs
-  /// (APPEND/RETIRE/CHECKPOINT) and anything else with a single-line
-  /// reply — and returns that reply. `ERR <CODE> ...` replies become
-  /// their typed Status; an `OK epoch=..` reply refreshes the cached
-  /// epoch so a mutating client's Epoch() stays current.
-  StatusOr<std::string> Command(const std::string& line);
+  /// Sends one protocol line verbatim and returns the server's reply
+  /// line. `ERR <CODE> ...` replies become their typed Status; a reply
+  /// naming `attrs=` (LOAD's OK, STATS, HEALTH) refreshes num_attrs().
+  StatusOr<std::string> Command(const std::string& line) override;
 
   std::string name() const override { return name_; }
   size_t num_attrs() const override;
@@ -143,6 +140,7 @@ class RemoteBackend : public BoundBackend {
   StatusOr<std::vector<GroupRange>> BoundGroupBy(
       const AggQuery& query, size_t group_attr,
       const std::vector<double>& group_values) override;
+  /// The STATS wire verb; refreshes num_attrs().
   StatusOr<EngineStats> Stats() override;
   StatusOr<uint64_t> Epoch() override;
   /// The HEALTH wire verb: succeeds even before a snapshot is loaded
@@ -164,10 +162,6 @@ class RemoteBackend : public BoundBackend {
   /// kProtocolError carrying `message`. Subsequent calls fail
   /// kUnavailable.
   Status PoisonProtocol(std::string message) REQUIRES(mu_);
-  /// The STATS round-trip + cached num_attrs/epoch refresh (mu_ held).
-  StatusOr<EngineStats> StatsLocked() REQUIRES(mu_);
-  /// Issues STATS and refreshes the cached num_attrs/epoch.
-  Status RefreshInfo();
 
   mutable Mutex mu_;  ///< one in-flight request at a time
   std::unique_ptr<LineTransport> transport_ GUARDED_BY(mu_);
@@ -175,8 +169,6 @@ class RemoteBackend : public BoundBackend {
   RetryPolicy retry_ GUARDED_BY(mu_);
   Rng retry_rng_ GUARDED_BY(mu_);  ///< jitter stream
   size_t num_attrs_ GUARDED_BY(mu_) = 0;
-  uint64_t epoch_ GUARDED_BY(mu_) = 0;
-  bool info_known_ GUARDED_BY(mu_) = false;
   Histogram* const roundtrip_hist_;  ///< client-side round-trip latency
 };
 

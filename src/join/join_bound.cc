@@ -81,11 +81,13 @@ StatusOr<double> BoundNaturalJoin(
   input.count_upper.resize(per_relation_pcs.size());
   for (size_t i = 0; i < per_relation_pcs.size(); ++i) {
     PcBoundSolver solver(*per_relation_pcs[i]);
-    PCX_ASSIGN_OR_RETURN(input.count_upper[i],
-                         solver.UpperBound(AggQuery::Count()));
+    PCX_ASSIGN_OR_RETURN(const ResultRange count,
+                         solver.Bound(AggQuery::Count()));
+    input.count_upper[i] = count.hi;
     if (agg_relation.has_value() && i == *agg_relation) {
-      PCX_ASSIGN_OR_RETURN(input.sum_upper,
-                           solver.UpperBound(AggQuery::Sum(*agg_attr)));
+      PCX_ASSIGN_OR_RETURN(const ResultRange sum,
+                           solver.Bound(AggQuery::Sum(*agg_attr)));
+      input.sum_upper = sum.hi;
     }
   }
   input.agg_relation = agg_relation;

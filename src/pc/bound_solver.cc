@@ -215,30 +215,6 @@ StatusOr<double> PcBoundSolver::MaximizeAllocation(
   return Status::Internal("unreachable");
 }
 
-StatusOr<double> PcBoundSolver::UpperSum(const AggQuery& query,
-                                         SolveStats& stats) const {
-  PCX_ASSIGN_OR_RETURN(std::vector<CellBound> cells,
-                       BuildCells(query, query.attr, stats));
-  std::vector<double> obj(cells.size());
-  for (size_t i = 0; i < cells.size(); ++i) {
-    if (cells[i].val_hi == kInf) {
-      // A cell with unbounded value that could receive a row makes the
-      // SUM unbounded; report +inf conservatively.
-      return kInf;
-    }
-    obj[i] = cells[i].val_hi;
-  }
-  return MaximizeAllocation(cells, obj, query.where, stats);
-}
-
-StatusOr<double> PcBoundSolver::UpperCount(const AggQuery& query,
-                                           SolveStats& stats) const {
-  PCX_ASSIGN_OR_RETURN(std::vector<CellBound> cells,
-                       BuildCells(query, query.attr, stats));
-  std::vector<double> obj(cells.size(), 1.0);
-  return MaximizeAllocation(cells, obj, query.where, stats);
-}
-
 StatusOr<bool> PcBoundSolver::EmptyInstancePossible(
     const AggQuery& query) const {
   // The zero allocation trivially satisfies every upper bound; it
@@ -627,16 +603,6 @@ std::vector<StatusOr<ResultRange>> PcBoundSolver::BoundBatch(
   out.reserve(slots.size());
   for (auto& slot : slots) out.push_back(*std::move(slot));
   return out;
-}
-
-StatusOr<double> PcBoundSolver::UpperBound(const AggQuery& query) const {
-  PCX_ASSIGN_OR_RETURN(const ResultRange r, Bound(query));
-  return r.hi;
-}
-
-StatusOr<double> PcBoundSolver::LowerBound(const AggQuery& query) const {
-  PCX_ASSIGN_OR_RETURN(const ResultRange r, Bound(query));
-  return r.lo;
 }
 
 }  // namespace pcx

@@ -119,11 +119,6 @@ class PcBoundSolver {
       std::span<const AggQuery> queries, size_t num_threads = 0,
       std::vector<SolveStats>* per_query_stats = nullptr) const;
 
-  /// Upper (max) end only; equals Bound(query)->hi.
-  StatusOr<double> UpperBound(const AggQuery& query) const;
-  /// Lower (min) end only; equals Bound(query)->lo.
-  StatusOr<double> LowerBound(const AggQuery& query) const;
-
   const PredicateConstraintSet& constraints() const { return pcs_; }
   const SolveStats& last_stats() const { return stats_; }
   const Options& options() const { return options_; }
@@ -195,8 +190,6 @@ class PcBoundSolver {
 
   StatusOr<ResultRange> BoundImpl(const AggQuery& query,
                                   SolveStats& stats) const;
-  StatusOr<double> UpperSum(const AggQuery& query, SolveStats& stats) const;
-  StatusOr<double> UpperCount(const AggQuery& query, SolveStats& stats) const;
   StatusOr<ResultRange> BoundAvg(const AggQuery& query,
                                  SolveStats& stats) const;
   StatusOr<ResultRange> BoundMax(const AggQuery& query,

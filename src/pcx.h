@@ -17,13 +17,14 @@
 ///   - "local:<pcset>"               in-process unsharded solving
 ///   - "snapshot:<path>?shards=K"    in-process sharded solving
 ///   - "tcp:<host>:<port>"           a pcx_serve server over the wire
-///   - "mirror:<uri>|<uri>"          replicas checked bit-for-bit
+///   - "failover:<uri>|<uri>"        the first live of a primary and its
+///                                   replicas
 ///
 /// All backends answer bit-identically at the same epoch, and
 /// pcx::QueryBuilder (engine/query_builder.h) builds the AggQuery
 /// values they consume from named columns. Code written against
 /// Engine/BoundBackend is substrate-agnostic: swapping the URI moves
-/// it between in-process, sharded, remote, and mirrored execution.
+/// it between in-process, sharded, remote, and replicated execution.
 ///
 /// The layers underneath, in the order a new reader should meet them:
 ///
@@ -64,7 +65,6 @@
 #include "engine/backend.h"
 #include "engine/engine.h"
 #include "engine/local_backend.h"
-#include "engine/mirror_backend.h"
 #include "engine/query_builder.h"
 #include "engine/remote_backend.h"
 #include "engine/sharded_backend.h"

@@ -1,11 +1,11 @@
 // The acceptance suite of the engine redesign: ONE query corpus runs
-// through Local, Sharded (2/4/8 shards), Remote (a real in-process TCP
-// server) and Mirror backends, every engine constructed through
-// Engine::Open(uri), and every answer must be bit-identical to the
-// reference PcBoundSolver — including the MIN -0.0 corner and typed
-// (not string-matched) error codes. This is the "same epoch ⇒ same
-// bits" guarantee the replica story builds on, asserted across every
-// execution substrate at once.
+// through Local, Sharded (resharded to 2/4/8 at open, and served as
+// stored with 2) and Remote (a real in-process TCP server) backends,
+// every engine constructed through Engine::Open(uri), and every answer
+// must be bit-identical to the reference PcBoundSolver — including the
+// MIN -0.0 corner, typed (not string-matched) error codes and the
+// epoch. This is the "same epoch ⇒ same bits" guarantee the replica
+// story builds on, asserted across every execution substrate at once.
 
 #include <gtest/gtest.h>
 
@@ -152,8 +152,14 @@ struct BackendKind {
   /// Shard count for sharded kinds (0 otherwise).
   size_t shards;
   bool remote;
-  bool mirror;
+  /// Sharded kinds only: serve the snapshot with the shards it was
+  /// stored with instead of repartitioning it at open.
+  bool stored;
 };
+
+/// The epoch every snapshot of the corpus is written at: the epoch of a
+/// local set, which the reference solver stands for.
+constexpr uint64_t kReferenceEpoch = 0;
 
 class BackendEquivalenceTest : public testing::TestWithParam<BackendKind> {
  protected:
@@ -165,7 +171,7 @@ class BackendEquivalenceTest : public testing::TestWithParam<BackendKind> {
     std::string uri;
     if (kind.remote) {
       const std::string snap = WriteSnapshotFile(
-          pcs, 2, /*epoch=*/0, "equiv_" + tag + "_remote.pcxsnap");
+          pcs, 2, kReferenceEpoch, "equiv_" + tag + "_remote.pcxsnap");
       PCX_CHECK(server_.LoadSnapshotFile(snap).ok());
       StatusOr<EventLoopListener> listener = EventLoopListener::Bind(0);
       PCX_CHECK(listener.ok()) << listener.status();
@@ -177,19 +183,17 @@ class BackendEquivalenceTest : public testing::TestWithParam<BackendKind> {
             const Status serve_status = l.Serve(server_, options);
             PCX_CHECK(serve_status.ok()) << serve_status;
           });
-    } else if (kind.mirror) {
-      // Local + sharded + resharded: three replicas that must agree.
-      const std::string pcset =
-          WritePcSetFile(pcs, "equiv_" + tag + "_mirror.pcset");
-      const std::string snap = WriteSnapshotFile(
-          pcs, 2, /*epoch=*/0, "equiv_" + tag + "_mirror.pcxsnap");
-      uri = "mirror:local:" + pcset + "|snapshot:" + snap + "|snapshot:" +
-            snap + "?shards=4";
+    } else if (kind.stored) {
+      // Stored with K shards and served exactly as stored: the in-process
+      // twin of what pcx_serve loads.
+      uri = "snapshot:" +
+            WriteSnapshotFile(pcs, kind.shards, kReferenceEpoch,
+                              "equiv_" + tag + "_stored.pcxsnap");
     } else if (kind.shards > 0) {
       // Stored as one shard, resharded at open: covers the ?shards=K
       // repartition path at every width.
       const std::string snap = WriteSnapshotFile(
-          pcs, 1, /*epoch=*/0, "equiv_" + tag + "_sharded.pcxsnap");
+          pcs, 1, kReferenceEpoch, "equiv_" + tag + "_sharded.pcxsnap");
       uri = "snapshot:" + snap + "?shards=" + std::to_string(kind.shards);
     } else {
       uri = "local:" + WritePcSetFile(pcs, "equiv_" + tag + ".pcset");
@@ -197,6 +201,13 @@ class BackendEquivalenceTest : public testing::TestWithParam<BackendKind> {
     StatusOr<Engine> engine = Engine::Open(uri);
     PCX_CHECK(engine.ok()) << uri << ": " << engine.status();
     return *engine;
+  }
+
+  /// Epoch parity: every substrate serves the reference's epoch.
+  static void ExpectReferenceEpoch(const Engine& engine) {
+    const auto epoch = engine.Epoch();
+    ASSERT_TRUE(epoch.ok()) << epoch.status();
+    EXPECT_EQ(*epoch, kReferenceEpoch) << engine.name();
   }
 
   /// Disconnects the remote engine (ending the server's one session)
@@ -268,11 +279,7 @@ TEST_P(BackendEquivalenceTest, BitIdenticalToReferenceOnRandomSets) {
   EXPECT_EQ(expected_err.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(actual_err.status().code(), expected_err.status().code());
 
-  // Epoch parity: every replica of this corpus serves epoch 0.
-  const auto epoch = engine.Epoch();
-  ASSERT_TRUE(epoch.ok()) << epoch.status();
-  EXPECT_EQ(*epoch, 0u);
-
+  ExpectReferenceEpoch(engine);
   Shutdown(engine);
 }
 
@@ -296,6 +303,7 @@ TEST_P(BackendEquivalenceTest, MinusZeroMinSurvivesEverySubstrate) {
                      std::string(GetParam().label) + " agg " +
                          AggFuncToString(agg));
   }
+  ExpectReferenceEpoch(engine);
   Shutdown(engine);
 }
 
@@ -305,8 +313,8 @@ INSTANTIATE_TEST_SUITE_P(
                     BackendKind{"sharded2", 2, false, false},
                     BackendKind{"sharded4", 4, false, false},
                     BackendKind{"sharded8", 8, false, false},
-                    BackendKind{"remote", 0, true, false},
-                    BackendKind{"mirror", 0, false, true}),
+                    BackendKind{"stored2", 2, false, true},
+                    BackendKind{"remote", 0, true, false}),
     [](const testing::TestParamInfo<BackendKind>& info) {
       return info.param.label;
     });

@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "engine/local_backend.h"
-#include "engine/mirror_backend.h"
 #include "engine/sharded_backend.h"
 #include "pc/serialization.h"
 #include "serve/partitioner.h"
@@ -132,6 +131,10 @@ TEST(EngineTest, OpenReportsTypedErrors) {
   auto scatter = Engine::Open("snapshot:" + snap + "?scatter=1");
   ASSERT_FALSE(scatter.ok());
   EXPECT_EQ(scatter.status().code(), StatusCode::kInvalidArgument);
+  // Replica cross-checking is a test concern, not a URI scheme.
+  auto mirror = Engine::Open("mirror:local:" + path);
+  ASSERT_FALSE(mirror.ok());
+  EXPECT_EQ(mirror.status().code(), StatusCode::kInvalidArgument);
   // Nothing listening -> Unavailable.
   auto refused = Engine::Open("tcp:127.0.0.1:1");
   ASSERT_FALSE(refused.ok());
@@ -218,100 +221,6 @@ TEST(QueryBuilderTest, ConditionsConjoinAndEqualsPins) {
   EXPECT_EQ(range->hi, 100.0);
 }
 
-/// A replica that answers like its delegate but nudges every hi — the
-/// "corrupted replica" MirrorBackend exists to catch.
-class DivergentBackend : public BoundBackend {
- public:
-  explicit DivergentBackend(std::shared_ptr<BoundBackend> delegate)
-      : delegate_(std::move(delegate)) {}
-  std::string name() const override { return "divergent"; }
-  size_t num_attrs() const override { return delegate_->num_attrs(); }
-  StatusOr<ResultRange> Bound(const AggQuery& query) override {
-    StatusOr<ResultRange> r = delegate_->Bound(query);
-    if (r.ok()) r->hi += 1.0;
-    return r;
-  }
-  StatusOr<std::vector<GroupRange>> BoundGroupBy(
-      const AggQuery& query, size_t group_attr,
-      const std::vector<double>& values) override {
-    StatusOr<std::vector<GroupRange>> groups =
-        delegate_->BoundGroupBy(query, group_attr, values);
-    if (groups.ok() && !groups->empty()) groups->front().range.hi += 1.0;
-    return groups;
-  }
-  StatusOr<EngineStats> Stats() override { return delegate_->Stats(); }
-  StatusOr<uint64_t> Epoch() override { return delegate_->Epoch(); }
-
- private:
-  std::shared_ptr<BoundBackend> delegate_;
-};
-
-TEST(MirrorBackendTest, AgreeingReplicasPassThrough) {
-  auto a = std::make_shared<LocalBackend>(SalesSet(),
-                                          std::vector<AttrDomain>{});
-  auto b = std::make_shared<ShardedBackend>(SalesSet(),
-                                            std::vector<AttrDomain>{});
-  MirrorBackend mirror({a, b});
-  EXPECT_EQ(mirror.num_replicas(), 2u);
-
-  const auto range = mirror.Bound(AggQuery::Count());
-  ASSERT_TRUE(range.ok()) << range.status();
-  EXPECT_EQ(range->lo, 100.0);
-  EXPECT_EQ(range->hi, 200.0);
-
-  // Matching typed errors pass through as that code, not divergence.
-  const auto bad = mirror.Bound(AggQuery::Sum(9));
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-
-  const auto epoch = mirror.Epoch();
-  ASSERT_TRUE(epoch.ok());
-  EXPECT_EQ(*epoch, 0u);
-}
-
-TEST(MirrorBackendTest, DetectsInjectedDivergentReplica) {
-  auto good = std::make_shared<LocalBackend>(SalesSet(),
-                                             std::vector<AttrDomain>{});
-  auto divergent = std::make_shared<DivergentBackend>(
-      std::make_shared<LocalBackend>(SalesSet(), std::vector<AttrDomain>{}));
-  MirrorBackend mirror({good, divergent});
-
-  const auto range = mirror.Bound(AggQuery::Count());
-  ASSERT_FALSE(range.ok());
-  EXPECT_EQ(range.status().code(), StatusCode::kDivergence);
-  // The report names both answers.
-  EXPECT_NE(range.status().message().find("replica 1"), std::string::npos)
-      << range.status();
-
-  // The batch path flags each diverged element.
-  const std::vector<AggQuery> queries = {AggQuery::Count(), AggQuery::Sum(9)};
-  const auto batch = mirror.BoundBatch(queries);
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].status().code(), StatusCode::kDivergence);
-  // Both replicas fail identically on the bad query: no divergence.
-  EXPECT_EQ(batch[1].status().code(), StatusCode::kInvalidArgument);
-
-  // Group-by divergence is detected too.
-  const auto groups = mirror.BoundGroupBy(AggQuery::Count(), 0, {5.0, 30.0});
-  ASSERT_FALSE(groups.ok());
-  EXPECT_EQ(groups.status().code(), StatusCode::kDivergence);
-}
-
-TEST(MirrorBackendTest, EpochDisagreementIsDivergence) {
-  LocalBackend::Options epoch1;
-  epoch1.epoch = 1;
-  LocalBackend::Options epoch2;
-  epoch2.epoch = 2;
-  auto a = std::make_shared<LocalBackend>(SalesSet(),
-                                          std::vector<AttrDomain>{}, epoch1);
-  auto b = std::make_shared<LocalBackend>(SalesSet(),
-                                          std::vector<AttrDomain>{}, epoch2);
-  MirrorBackend mirror({a, b});
-  const auto epoch = mirror.Epoch();
-  ASSERT_FALSE(epoch.ok());
-  EXPECT_EQ(epoch.status().code(), StatusCode::kDivergence);
-}
-
 TEST(EngineTest, HealthOnInProcessBackendsDerivesFromStats) {
   const std::string path = WritePcSetFile(SalesSet(), "engine_health.pcset");
   const StatusOr<Engine> engine = Engine::Open("local:" + path);
@@ -326,55 +235,21 @@ TEST(EngineTest, HealthOnInProcessBackendsDerivesFromStats) {
   EXPECT_EQ(health->uptime_seconds, 0u);  // no server process behind it
 }
 
-TEST(MirrorBackendTest, HealthToleratesBoundedEpochSkew) {
-  LocalBackend::Options epoch1;
-  epoch1.epoch = 1;
-  LocalBackend::Options epoch2;
-  epoch2.epoch = 2;
-  auto a = std::make_shared<LocalBackend>(SalesSet(),
-                                          std::vector<AttrDomain>{}, epoch1);
-  auto b = std::make_shared<LocalBackend>(SalesSet(),
-                                          std::vector<AttrDomain>{}, epoch2);
-
-  // Strict mirror: the one-epoch spread of a rolling reload is a
-  // health failure...
-  MirrorBackend strict({a, b});
-  const auto strict_health = strict.Health();
-  ASSERT_FALSE(strict_health.ok());
-  EXPECT_EQ(strict_health.status().code(), StatusCode::kDivergence);
-
-  // ...but with max_epoch_skew=1 the same fleet is healthy (query
-  // answers remain strictly epoch-checked — only Health relaxes).
-  MirrorBackend::Options tolerant;
-  tolerant.max_epoch_skew = 1;
-  MirrorBackend relaxed({a, b}, tolerant);
-  const auto relaxed_health = relaxed.Health();
-  ASSERT_TRUE(relaxed_health.ok()) << relaxed_health.status();
-  EXPECT_TRUE(relaxed_health->loaded);
-  EXPECT_EQ(relaxed_health->epoch, 1u);  // the primary's view
-  const auto epoch = relaxed.Epoch();
-  ASSERT_FALSE(epoch.ok());
-  EXPECT_EQ(epoch.status().code(), StatusCode::kDivergence);
-}
-
-TEST(EngineTest, MirrorUriOpensAllReplicas) {
-  const std::string pcset = WritePcSetFile(SalesSet(), "engine_mir.pcset");
-  const std::string snap =
-      WriteSnapshotFile(SalesSet(), 2, 0, "engine_mir.pcxsnap");
-  const StatusOr<Engine> engine =
-      Engine::Open("mirror:local:" + pcset + "|snapshot:" + snap);
-  ASSERT_TRUE(engine.ok()) << engine.status();
-  EXPECT_EQ(engine->name(), "mirror[local, sharded:2]");
-
-  const auto range = engine->Bound(AggQuery::Count());
-  ASSERT_TRUE(range.ok()) << range.status();
-  EXPECT_EQ(range->lo, 100.0);
-  EXPECT_EQ(range->hi, 200.0);
-
-  // A replica that fails to open fails the whole mirror, typed.
-  auto bad = Engine::Open("mirror:local:" + pcset + "|local:/nope.pcset");
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kNotFound);
+TEST(EngineTest, ServerVerbsAreUnimplementedInProcess) {
+  // STATS/HEALTH/LOAD... lines have no server to answer them in process:
+  // a typed UNIMPLEMENTED, not a client-side rendering.
+  const Engine local = Engine::Local(SalesSet());
+  const Engine sharded = Engine::Sharded(SalesSet(), {});
+  for (const Engine& engine : {local, sharded}) {
+    for (const char* line : {"STATS", "HEALTH", "LOAD x.pcxsnap"}) {
+      const auto reply = engine.backend()->Command(line);
+      ASSERT_FALSE(reply.ok()) << line;
+      EXPECT_EQ(reply.status().code(), StatusCode::kUnimplemented) << line;
+      EXPECT_NE(reply.status().message().find("pcx_serve --snapshot="),
+                std::string::npos)
+          << reply.status();
+    }
+  }
 }
 
 TEST(StatusTest, ParseStatusCodeRoundTrips) {
@@ -384,7 +259,7 @@ TEST(StatusTest, ParseStatusCodeRoundTrips) {
         StatusCode::kUnimplemented, StatusCode::kInternal,
         StatusCode::kResourceExhausted, StatusCode::kInfeasible,
         StatusCode::kUnbounded, StatusCode::kUnavailable,
-        StatusCode::kProtocolError, StatusCode::kDivergence}) {
+        StatusCode::kProtocolError}) {
     StatusCode parsed;
     ASSERT_TRUE(ParseStatusCode(StatusCodeToString(c), &parsed))
         << StatusCodeToString(c);

@@ -553,6 +553,53 @@ TEST(FailoverUriTest, SurvivesPrimaryDeathEndToEnd) {
   replica_thread.join();
 }
 
+TEST(FailoverUriTest, KnowsTheAttributeCountBeforeTheFirstCall) {
+  Rng rng(38);  // a set under which the SUM below is feasible
+  const std::string path =
+      WriteTempSnapshot(RandomSet(rng, 6), 2, "failover_attrs");
+  BoundServer server;
+  ASSERT_EQ(Reply(server, "LOAD " + path).rfind("OK ", 0), 0u);
+  StatusOr<EventLoopListener> listener = EventLoopListener::Bind(0);
+  ASSERT_TRUE(listener.ok());
+  std::thread serve_thread([&] { (void)listener->Serve(server); });
+
+  // A dead candidate first: the live one still supplies the schema.
+  const std::string uri = "failover:tcp:127.0.0.1:1|tcp:127.0.0.1:" +
+                          std::to_string(listener->port());
+  StatusOr<Engine> engine = Engine::Open(uri);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  EXPECT_EQ(engine->num_attrs(), kAttrs);
+
+  // An attribute query built against num_attrs() is the first call.
+  QueryBuilder sum;
+  sum.Sum(2).Where(0, 0.0, 23.0);
+  const StatusOr<ResultRange> got = engine->Bound(sum);
+  const StatusOr<AggQuery> query = sum.Build(kAttrs);
+  ASSERT_TRUE(query.ok());
+  const StatusOr<ResultRange> want = server.solver()->Bound(*query);
+  ASSERT_TRUE(want.ok()) << want.status();
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_TRUE(BitIdenticalRanges(*got, *want));
+
+  // Server verbs forward to the picked candidate and come back as the
+  // server's own line.
+  const StatusOr<std::string> health = engine->backend()->Command("HEALTH");
+  ASSERT_TRUE(health.ok()) << health.status();
+  EXPECT_EQ(health->rfind("HEALTH loaded=1 ", 0), 0u) << *health;
+  EXPECT_NE(health->find(" attrs=3 "), std::string::npos) << *health;
+
+  // A list with no live candidate still constructs; calls fail typed.
+  StatusOr<Engine> dead = Engine::Open("failover:tcp:127.0.0.1:1");
+  ASSERT_TRUE(dead.ok()) << dead.status();
+  EXPECT_EQ(dead->num_attrs(), 0u);
+  EXPECT_EQ(dead->Bound(AggQuery::Count()).status().code(),
+            StatusCode::kUnavailable);
+
+  engine = Engine();
+  listener->Shutdown();
+  serve_thread.join();
+}
+
 #endif  // __linux__
 
 }  // namespace

@@ -9,9 +9,11 @@
 //
 // Client mode: connect a typed engine backend (engine/remote_backend.h)
 // to a running server — or any Engine::Open URI — and drive it with the
-// same command syntax. Replies are parsed into StatusOr<ResultRange>
-// and re-printed, so client-mode output for a query is byte-identical
-// to serve-mode output exactly when the wire round-trip is lossless:
+// same command syntax. BOUND and GROUPBY replies are parsed into
+// StatusOr<ResultRange> and re-printed, so client-mode output for a
+// query is byte-identical to serve-mode output exactly when the wire
+// round-trip is lossless; server verbs (STATS, HEALTH, LOAD, ...) print
+// the server's own reply line:
 //
 //   pcx_serve --connect=tcp:127.0.0.1:7070
 //
@@ -120,8 +122,11 @@ void Usage() {
       "Client mode:\n"
       "  pcx_serve --connect=URI\n"
       "    Typed client REPL against an Engine::Open URI\n"
-      "    (tcp:host:port, local:set.pcset, snapshot:v.pcxsnap?shards=K,\n"
-      "    mirror:uri|uri); same BOUND/GROUPBY/STATS/QUIT syntax.\n\n"
+      "    (tcp:host:port, failover:uri|uri, local:set.pcset,\n"
+      "    snapshot:v.pcxsnap?shards=K); same command syntax. STATS,\n"
+      "    HEALTH, LOAD, APPEND, RETIRE, CHECKPOINT and TRACE print the\n"
+      "    server's own reply line; in-process URIs answer them\n"
+      "    UNIMPLEMENTED (serve the set with --snapshot= instead).\n\n"
       "Build mode:\n"
       "  pcx_serve --build-snapshot --pcset=PATH --out=PATH [--shards=K]\n"
       "            [--strategy=range|roundrobin] [--int-attrs=0,1,...]\n"
@@ -197,12 +202,13 @@ int BuildSnapshot(const Flags& flags) {
   return 0;
 }
 
-// The typed-client REPL: the same command vocabulary as the server, but
-// each line becomes a BoundBackend call on an Engine::Open'd backend and
-// the typed result is printed back. Against "tcp:" this exercises the
-// full client-side protocol path (request formatting, reply parsing,
-// typed error codes) end to end — CI drives its remote smoke test
-// through here.
+// The typed-client REPL: the same command vocabulary as the server. A
+// BOUND or GROUPBY line becomes a BoundBackend call on an Engine::Open'd
+// backend and the typed result is printed back; against "tcp:" this
+// exercises the full client-side protocol path (request formatting,
+// reply parsing, typed error codes) end to end — CI drives its remote
+// smoke test through here. Server verbs are forwarded as typed and the
+// server's reply line is printed unchanged: one rendering per reply.
 int RunClient(const std::string& uri) {
   const pcx::StatusOr<pcx::Engine> engine = pcx::Engine::Open(uri);
   if (!engine.ok()) {
@@ -224,28 +230,6 @@ int RunClient(const std::string& uri) {
     if (cmd == "QUIT" || cmd == "EXIT") {
       std::cout << "BYE\n" << std::flush;
       return 0;
-    } else if (cmd == "LOAD") {
-      // Only a remote server can load a snapshot mid-session (a
-      // snapshot-less "pcx_serve --port=N" waits for exactly this).
-      auto* remote =
-          dynamic_cast<pcx::RemoteBackend*>(engine->backend().get());
-      if (tokens.size() != 2) {
-        error = pcx::Status::InvalidArgument("usage: LOAD <snapshot-path>");
-      } else if (remote == nullptr) {
-        error = pcx::Status::Unimplemented(
-            "LOAD needs a tcp: engine (in-process engines fix their "
-            "constraint set at Open)");
-      } else if (error = remote->Load(tokens[1]); error.ok()) {
-        const auto stats = remote->Stats();
-        if (stats.ok()) {
-          std::cout << "OK epoch=" << stats->epoch
-                    << " shards=" << stats->num_shards
-                    << " pcs=" << stats->num_pcs
-                    << " attrs=" << stats->num_attrs << "\n";
-        } else {
-          error = stats.status();
-        }
-      }
     } else if (cmd == "BOUND") {
       const auto query = pcx::ParseBoundRequest(tokens, engine->num_attrs());
       if (!query.ok()) {
@@ -271,43 +255,16 @@ int RunClient(const std::string& uri) {
       } else {
         error = groups.status();
       }
-    } else if (cmd == "APPEND" || cmd == "RETIRE" || cmd == "CHECKPOINT") {
-      // Mutation verbs pass through verbatim (single-line replies);
-      // only a remote primary can journal them.
-      auto* remote =
-          dynamic_cast<pcx::RemoteBackend*>(engine->backend().get());
-      if (remote == nullptr) {
-        error = pcx::Status::Unimplemented(
-            cmd + " needs a tcp: engine (in-process engines fix their "
-                  "constraint set at Open)");
-      } else if (const auto reply = remote->Command(line); reply.ok()) {
+    } else if (cmd == "LOAD" || cmd == "APPEND" || cmd == "RETIRE" ||
+               cmd == "CHECKPOINT" || cmd == "TRACE" || cmd == "STATS" ||
+               cmd == "HEALTH") {
+      // Server verbs. The '#trace' annotations that TRACE ON adds after
+      // later replies are skipped by the typed client; use a raw
+      // transport (nc, the stdio server) to see them.
+      if (const auto reply = engine->backend()->Command(line); reply.ok()) {
         std::cout << *reply << "\n";
       } else {
         error = reply.status();
-      }
-    } else if (cmd == "STATS") {
-      const auto stats = engine->Stats();
-      if (stats.ok()) {
-        std::cout << "STATS epoch=" << stats->epoch
-                  << " shards=" << stats->num_shards
-                  << " pcs=" << stats->num_pcs
-                  << " attrs=" << stats->num_attrs
-                  << " queries=" << stats->queries
-                  << " num_cells=" << stats->num_cells
-                  << " sat_calls=" << stats->sat_calls
-                  << " sat_cache_hits=" << stats->sat_cache_hits
-                  << " milp_nodes=" << stats->milp_nodes
-                  << " lp_solves=" << stats->lp_solves
-                  << " lp_pivots=" << stats->lp_pivots
-                  << " queue_depth=" << stats->queue_depth
-                  << " queue_high_water=" << stats->queue_high_water
-                  << " coalesced_batches=" << stats->coalesced_batches
-                  << " coalesced_reqs=" << stats->coalesced_requests
-                  << " max_batch=" << stats->max_coalesced_batch
-                  << " overload_rejects=" << stats->overload_rejections
-                  << "\n";
-      } else {
-        error = stats.status();
       }
     } else if (cmd == "METRICS") {
       // The server's Prometheus exposition, printed raw (no counted
@@ -322,40 +279,6 @@ int RunClient(const std::string& uri) {
         std::cout << *body;
       } else {
         error = body.status();
-      }
-    } else if (cmd == "TRACE") {
-      // Pass-through toggle. Note the typed client itself skips the
-      // '#trace' annotations when parsing replies; use a raw transport
-      // (nc, the stdio server) to see them. The toggle still drives the
-      // server-side per-verb timing and the slow-query log.
-      auto* remote =
-          dynamic_cast<pcx::RemoteBackend*>(engine->backend().get());
-      if (remote == nullptr) {
-        error = pcx::Status::Unimplemented("TRACE needs a tcp: engine");
-      } else if (const auto reply = remote->Command(line); reply.ok()) {
-        std::cout << *reply << "\n";
-      } else {
-        error = reply.status();
-      }
-    } else if (cmd == "HEALTH") {
-      // Typed health sweep: against mirror: engines this checks every
-      // replica and enforces the configured epoch-skew bound.
-      const auto health = engine->Health();
-      if (health.ok()) {
-        std::cout << "HEALTH loaded=" << (health->loaded ? 1 : 0)
-                  << " epoch=" << health->epoch
-                  << " shards=" << health->num_shards
-                  << " pcs=" << health->num_pcs
-                  << " uptime_s=" << health->uptime_seconds
-                  << " sessions=" << health->sessions
-                  << " requests=" << health->requests;
-        if (health->replica) {
-          std::cout << " replica=1 primary_epoch=" << health->primary_epoch
-                    << " lag=" << health->replication_lag;
-        }
-        std::cout << "\n";
-      } else {
-        error = health.status();
       }
     } else {
       error = pcx::Status::InvalidArgument(
