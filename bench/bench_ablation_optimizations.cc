@@ -11,11 +11,18 @@
 //      5-clique, and so on");
 //  (e) warm-started dual simplex across the branch-and-bound tree:
 //      lp_pivots / wall-clock with and without carrying the parent
-//      basis (the PR 2 solver overhaul; feeds BENCH_pr*.json).
+//      basis (the PR 2 solver overhaul; feeds BENCH_pr*.json), and LP
+//      solves per AVG query under Dinkelbach's ratio iteration.
+//
+// Exits nonzero if a section (e) query fails, warm and cold solves
+// disagree on a bound, or an AVG query takes more than
+// kMaxLpSolvesPerAvg LP solves. All three are deterministic.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "bench/bench_json.h"
@@ -157,12 +164,19 @@ void CliqueBounds() {
               "exactly the §5.1 observation about clique queries.\n");
 }
 
-void WarmStartAblation(bench::JsonEmitter& json) {
+/// Dinkelbach takes a handful of MILP solves per AVG end; the
+/// bisection it replaced took about 40 per end.
+constexpr size_t kMaxLpSolvesPerAvg = 15;
+
+/// Returns false if a query failed, warm and cold solves disagree on a
+/// bound's bytes, or an AVG query took more than kMaxLpSolvesPerAvg LP
+/// solves.
+bool WarmStartAblation(bench::JsonEmitter& json) {
   std::printf("\n--- (e) warm-started simplex across branch-and-bound ---\n");
   std::printf("%-12s %-12s %-12s %-14s %-12s\n", "warm-start", "lp-solves",
               "lp-pivots", "milp-nodes", "time-ms");
   // MIN/MAX/AVG over overlapping PCs: the MILP-heavy path (occupancy
-  // checks + AVG binary search), dozens of LP relaxations per query.
+  // checks + the AVG ratio iteration), several LP relaxations per query.
   const auto pcs = OverlappingPcs(12, 9);
   std::vector<AggQuery> queries;
   for (int q = 0; q < 6; ++q) {
@@ -172,16 +186,36 @@ void WarmStartAblation(bench::JsonEmitter& json) {
     queries.push_back(AggQuery::Min(1, where));
     queries.push_back(AggQuery::Avg(1, where));
   }
+  bool pass = true;
+  size_t avg_queries = 0, avg_lp_solves = 0, avg_lp_solves_max = 0;
+  std::vector<StatusOr<ResultRange>> cold;
   for (const bool warm : {false, true}) {
     PcBoundSolver::Options options;
     options.milp.use_warm_start = warm;
     PcBoundSolver solver(pcs, {}, options);
+    std::vector<PcBoundSolver::SolveStats> per_query;
     bench::Stopwatch sw;
-    const auto results = solver.BoundBatch(queries, /*num_threads=*/1);
+    const auto results =
+        solver.BoundBatch(queries, /*num_threads=*/1, &per_query);
     const double ms = sw.ElapsedMs();
     size_t ok = 0;
-    for (const auto& r : results) {
-      if (r.ok()) ++ok;
+    for (size_t i = 0; i < results.size(); ++i) {
+      if (results[i].ok()) ++ok;
+      if (queries[i].agg != AggFunc::kAvg) continue;
+      ++avg_queries;
+      avg_lp_solves += per_query[i].lp_solves;
+      avg_lp_solves_max = std::max(avg_lp_solves_max, per_query[i].lp_solves);
+    }
+    pass = pass && ok == results.size();
+    if (!warm) {
+      cold = results;
+    } else {
+      // The warm basis changes the pivot path, never the bounds.
+      for (size_t i = 0; i < results.size() && pass; ++i) {
+        pass = std::memcmp(&results[i]->lo, &cold[i]->lo, sizeof(double)) ==
+                   0 &&
+               std::memcmp(&results[i]->hi, &cold[i]->hi, sizeof(double)) == 0;
+      }
     }
     const PcBoundSolver::SolveStats& stats = solver.last_stats();
     std::printf("%-12s %-12zu %-12zu %-14zu %-12.1f\n", warm ? "on" : "off",
@@ -195,8 +229,18 @@ void WarmStartAblation(bench::JsonEmitter& json) {
         .Num("milp_nodes", static_cast<double>(stats.milp_nodes))
         .Num("time_ms", ms);
   }
-  std::printf("Expected: identical bounds with a substantially smaller\n"
-              "lp_pivots total when children start from the parent basis.\n");
+  const double per_avg =
+      static_cast<double>(avg_lp_solves) / static_cast<double>(avg_queries);
+  std::printf("LP solves per AVG query: %.1f mean, %zu max (limit %zu)\n",
+              per_avg, avg_lp_solves_max, kMaxLpSolvesPerAvg);
+  pass = pass && avg_lp_solves_max <= kMaxLpSolvesPerAvg;
+  std::printf("Expected: identical bounds; lp_pivots only a few percent\n"
+              "smaller when children start from the parent basis, since\n"
+              "Dinkelbach's iteration leaves only a few solves per query\n"
+              "to chain (the 60-step AVG bisection it replaced saved about\n"
+              "32%%); every query answers, with at most %zu LP solves per AVG.\n",
+              kMaxLpSolvesPerAvg);
+  return pass;
 }
 
 }  // namespace
@@ -209,6 +253,9 @@ int main() {
   pcx::PushdownAblation();
   pcx::OccupancyAblation();
   pcx::CliqueBounds();
-  pcx::WarmStartAblation(json);
+  if (!pcx::WarmStartAblation(json)) {
+    std::printf("FAIL: section (e) self-check\n");
+    return 1;
+  }
   return 0;
 }

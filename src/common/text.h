@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/statusor.h"
@@ -16,12 +17,18 @@ namespace pcx {
 /// pcset format, snapshots and the line protocol must all agree on what
 /// "whitespace" and "a number" mean (CRLF tolerance included).
 
-/// Strips leading/trailing spaces, tabs, CR and LF.
-inline std::string TrimWhitespace(const std::string& s) {
+/// Strips leading/trailing spaces, tabs, CR and LF; the view points
+/// into `s`.
+inline std::string_view TrimView(std::string_view s) {
   const size_t b = s.find_first_not_of(" \t\r\n");
-  if (b == std::string::npos) return "";
+  if (b == std::string_view::npos) return {};
   const size_t e = s.find_last_not_of(" \t\r\n");
   return s.substr(b, e - b + 1);
+}
+
+/// TrimView, copied out.
+inline std::string TrimWhitespace(const std::string& s) {
+  return std::string(TrimView(s));
 }
 
 /// Splits on runs of whitespace; no empty tokens.

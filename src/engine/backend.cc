@@ -38,6 +38,12 @@ StatusOr<std::string> BoundBackend::Command(const std::string& line) {
       "server verbs such as STATS and HEALTH on stdio");
 }
 
+StatusOr<std::string> BoundBackend::Metrics() {
+  return Status::Unimplemented(
+      "METRICS needs a served engine (tcp: or failover:); an in-process "
+      "engine has no server registry");
+}
+
 bool BitIdenticalRanges(const ResultRange& a, const ResultRange& b) {
   return std::memcmp(&a.lo, &b.lo, sizeof(double)) == 0 &&
          std::memcmp(&a.hi, &b.hi, sizeof(double)) == 0 &&

@@ -127,6 +127,12 @@ class BoundBackend {
   /// reply comes back as its typed Status. The default is
   /// kUnimplemented: in-process backends have no server to ask.
   virtual StatusOr<std::string> Command(const std::string& line);
+
+  /// The METRICS wire verb: the serving process's Prometheus text
+  /// exposition (newline-terminated lines, no counted header). The
+  /// default is kUnimplemented: in-process backends have no server
+  /// registry.
+  virtual StatusOr<std::string> Metrics();
 };
 
 /// True iff the two ranges are indistinguishable to any observer,

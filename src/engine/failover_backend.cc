@@ -153,4 +153,9 @@ StatusOr<std::string> FailoverBackend::Command(const std::string& line) {
       [&](BoundBackend& b) { return b.Command(line); });
 }
 
+StatusOr<std::string> FailoverBackend::Metrics() {
+  return WithFailover<std::string>(
+      [](BoundBackend& b) { return b.Metrics(); });
+}
+
 }  // namespace pcx

@@ -57,6 +57,8 @@ class FailoverBackend : public BoundBackend {
   /// Forwards the line to the picked candidate, failing over like every
   /// other call.
   StatusOr<std::string> Command(const std::string& line) override;
+  /// Scrapes the picked candidate, failing over like every other call.
+  StatusOr<std::string> Metrics() override;
 
   size_t num_candidates() const { return uris_.size(); }
 

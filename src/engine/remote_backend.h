@@ -127,7 +127,7 @@ class RemoteBackend : public BoundBackend {
   /// exposition and returns the body of the counted block (one string,
   /// newline-terminated lines). A malformed block poisons the session
   /// (the reply-stream offset is unknown mid-block).
-  StatusOr<std::string> Metrics();
+  StatusOr<std::string> Metrics() override;
 
   /// Sends one protocol line verbatim and returns the server's reply
   /// line. `ERR <CODE> ...` replies become their typed Status; a reply

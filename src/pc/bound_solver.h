@@ -25,11 +25,12 @@ namespace pcx {
 /// predicate (Optimization 1), (2) per-cell value bounds from the
 /// covering constraints, (3) a MILP allocating rows to cells under the
 /// frequency constraints, solved by the built-in branch-and-bound.
-/// SUM/COUNT are a single MILP; AVG binary-searches feasibility; MIN and
-/// MAX scan cell bounds with an occupancy check. Lower bounds reduce to
-/// upper bounds on the value-negated constraint set. When the predicates
-/// are pairwise disjoint, a greedy O(n) fast path replaces the
-/// decomposition and the MILP entirely (paper §4.2, Fig. 8).
+/// SUM/COUNT are a single MILP; AVG runs Dinkelbach's ratio iteration
+/// over the same MILP; MIN and MAX scan cell bounds with an occupancy
+/// check. Lower bounds reduce to upper bounds on the value-negated
+/// constraint set. When the predicates are pairwise disjoint, a greedy
+/// O(n) fast path replaces the decomposition and the MILP entirely
+/// (paper §4.2, Fig. 8).
 class PcBoundSolver {
  public:
   struct Options {
@@ -179,13 +180,16 @@ class PcBoundSolver {
   /// chains consecutive solves over the same cell set — the MILP's root
   /// basis is carried from call to call, replacing phase-1 with a few
   /// warm pivots when only the objective changed (occupancy scans, the
-  /// AVG binary search, the SUM lower/upper pair).
+  /// AVG ratio iteration, the SUM lower/upper pair). `argmax`
+  /// (optional) receives the integer allocation x attaining the
+  /// maximum; it is written only when the solve is optimal.
   StatusOr<double> MaximizeAllocation(const std::vector<CellBound>& cells,
                                       const std::vector<double>& objective,
                                       const std::optional<Predicate>& where,
                                       SolveStats& stats,
                                       double extra_min_rows = 0.0,
-                                      SimplexSolver::WarmStart* warm =
+                                      SimplexSolver::WarmStart* warm = nullptr,
+                                      std::vector<double>* argmax =
                                           nullptr) const;
 
   StatusOr<ResultRange> BoundImpl(const AggQuery& query,

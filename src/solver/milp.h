@@ -45,7 +45,7 @@ class BranchAndBoundSolver {
   /// usually integral at the root (single-node trees), so the big
   /// repeated cost is root phase-1 — callers that solve the same
   /// constraint rows under changing objectives (MIN/MAX occupancy
-  /// scans, the AVG binary search) chain their solves through this.
+  /// scans, the AVG ratio iteration) chain their solves through this.
   Solution Solve(const LpModel& model,
                  SimplexSolver::WarmStart* root_warm) const;
 

@@ -1,9 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <functional>
 #include <limits>
+#include <set>
+#include <string>
+#include <vector>
 
+#include "common/random.h"
 #include "pc/bound_solver.h"
 #include "pc/combine.h"
+
+#ifdef PCX_HAVE_Z3
+#include <z3++.h>
+#endif
 
 namespace pcx {
 namespace {
@@ -143,9 +155,10 @@ PredicateConstraintSet OneValuePc(double v_lo, double v_hi) {
 }
 
 // One row of value 10.3 is a valid instance, so AVG can be 10.3. The
-// ratio search starts its bracket at -1e18 for an unbounded value; its
-// feasible end stops about 0.9 short of the optimum, so only the
-// infeasible end is a hard upper bound.
+// ratio search starts at r = -1e18 for an unbounded value, where the
+// objective (10.3 - r) rounds away the 10.3; the next step starts from
+// the argmax's own ratio, and the served end r + max(F(r), 0) bounds
+// every allocation, so it may not fall below 10.3.
 TEST(BoundSolverTest, AvgUpperEndIsHardWithUnboundedValues) {
   PcBoundSolver solver(OneValuePc(-kInf, 10.3));
   const auto range = solver.Bound(AggQuery::Avg(1));
@@ -168,6 +181,237 @@ TEST(BoundSolverTest, AvgUpperEndIsHardWithWideValues) {
   const auto range = solver.Bound(AggQuery::Avg(1));
   ASSERT_TRUE(range.ok());
   EXPECT_GE(range->hi, 10.3);
+}
+
+/// A random tiny AVG instance: 2-4 PCs with closed integer key ranges
+/// inside [0, 4] on attr 0, integer value bounds inside [-5, 5] on
+/// attr 1 and freq.hi <= 4. `patterns` lists the distinct sets of PCs
+/// covering some key: every region between the integer breakpoints
+/// holds a multiple of 0.5, so sampling those keys finds each region.
+/// Rows live only at covered keys (closure), with a value in the
+/// intersection of their covering PCs' value bounds.
+struct TinyAvgInstance {
+  struct Pattern {
+    std::vector<size_t> covering;
+    double v_lo = 0.0, v_hi = 0.0;
+  };
+  PredicateConstraintSet pcs;
+  std::vector<double> f_lo, f_hi;
+  std::vector<Pattern> patterns;  ///< only those a row can occupy
+};
+
+TinyAvgInstance RandomTinyAvgInstance(Rng& rng) {
+  TinyAvgInstance inst;
+  const size_t n = static_cast<size_t>(rng.UniformInt(2, 4));
+  std::vector<std::pair<double, double>> keys, vals;
+  for (size_t j = 0; j < n; ++j) {
+    const int64_t a = rng.UniformInt(0, 3);
+    const int64_t b = rng.UniformInt(a, 4);
+    const int64_t lo = rng.UniformInt(-5, 5);
+    const int64_t hi = rng.UniformInt(lo, 5);
+    const int64_t f_hi = rng.UniformInt(1, 4);
+    const int64_t f_lo = rng.Bernoulli(0.5) ? 0 : rng.UniformInt(0, f_hi);
+    Predicate pred(2);
+    pred.AddRange(0, static_cast<double>(a), static_cast<double>(b));
+    Box values(2);
+    values.Constrain(1, Interval::Closed(static_cast<double>(lo),
+                                         static_cast<double>(hi)));
+    inst.pcs.Add(PredicateConstraint(
+        pred, values,
+        {static_cast<double>(f_lo), static_cast<double>(f_hi)}));
+    keys.push_back({static_cast<double>(a), static_cast<double>(b)});
+    vals.push_back({static_cast<double>(lo), static_cast<double>(hi)});
+    inst.f_lo.push_back(static_cast<double>(f_lo));
+    inst.f_hi.push_back(static_cast<double>(f_hi));
+  }
+  std::set<std::vector<size_t>> seen;
+  for (double key = 0.0; key <= 4.0; key += 0.5) {
+    TinyAvgInstance::Pattern p;
+    p.v_lo = -kInf;
+    p.v_hi = kInf;
+    for (size_t j = 0; j < n; ++j) {
+      if (keys[j].first <= key && key <= keys[j].second) {
+        p.covering.push_back(j);
+        p.v_lo = std::max(p.v_lo, vals[j].first);
+        p.v_hi = std::min(p.v_hi, vals[j].second);
+      }
+    }
+    if (p.covering.empty() || p.v_lo > p.v_hi) continue;
+    if (seen.insert(p.covering).second) inst.patterns.push_back(p);
+  }
+  return inst;
+}
+
+struct TinyAvgTruth {
+  bool any_row = false;  ///< some valid allocation has >= 1 row
+  double max_avg = -kInf, min_avg = kInf;
+};
+
+/// Enumerates every allocation of rows to patterns within the PCs'
+/// frequency bounds. All sums are small integers, so they are exact.
+TinyAvgTruth EnumerateAvg(const TinyAvgInstance& inst) {
+  TinyAvgTruth truth;
+  std::vector<double> per_pc(inst.f_hi.size(), 0.0);
+  double rows = 0.0, sum_hi = 0.0, sum_lo = 0.0;
+  std::function<void(size_t)> visit = [&](size_t p) {
+    if (p == inst.patterns.size()) {
+      for (size_t j = 0; j < per_pc.size(); ++j) {
+        if (per_pc[j] < inst.f_lo[j]) return;
+      }
+      if (rows < 1.0) return;
+      truth.any_row = true;
+      truth.max_avg = std::max(truth.max_avg, sum_hi / rows);
+      truth.min_avg = std::min(truth.min_avg, sum_lo / rows);
+      return;
+    }
+    const TinyAvgInstance::Pattern& pat = inst.patterns[p];
+    for (int c = 0;; ++c) {
+      bool fits = true;
+      for (size_t j : pat.covering) fits = fits && per_pc[j] + c <= inst.f_hi[j];
+      if (!fits) break;
+      for (size_t j : pat.covering) per_pc[j] += c;
+      rows += c;
+      sum_hi += c * pat.v_hi;
+      sum_lo += c * pat.v_lo;
+      visit(p + 1);
+      for (size_t j : pat.covering) per_pc[j] -= c;
+      rows -= c;
+      sum_hi -= c * pat.v_hi;
+      sum_lo -= c * pat.v_lo;
+    }
+  };
+  visit(0);
+  return truth;
+}
+
+TEST(BoundSolverTest, AvgMatchesEnumerationOnTinyInstances) {
+  Rng rng(2024);
+  size_t defined = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const TinyAvgInstance inst = RandomTinyAvgInstance(rng);
+    const TinyAvgTruth truth = EnumerateAvg(inst);
+    PcBoundSolver solver(inst.pcs);
+    const auto range = solver.Bound(AggQuery::Avg(1));
+    ASSERT_TRUE(range.ok()) << "trial " << trial << ": "
+                            << range.status().ToString();
+    ASSERT_EQ(range->defined, truth.any_row) << "trial " << trial;
+    if (!truth.any_row) continue;
+    ++defined;
+    const double tol_hi = 1e-9 * std::max(1.0, std::fabs(truth.max_avg));
+    const double tol_lo = 1e-9 * std::max(1.0, std::fabs(truth.min_avg));
+    EXPECT_GE(range->hi, truth.max_avg) << "trial " << trial;
+    EXPECT_LE(range->hi - truth.max_avg, tol_hi) << "trial " << trial;
+    EXPECT_LE(range->lo, truth.min_avg) << "trial " << trial;
+    EXPECT_LE(truth.min_avg - range->lo, tol_lo) << "trial " << trial;
+  }
+  // The draw must exercise both verdicts.
+  EXPECT_GT(defined, 100u);
+  EXPECT_LT(defined, 300u);
+}
+
+#ifdef PCX_HAVE_Z3
+/// The exact rational value of a finite double, as a Z3 real: m / 2^k
+/// (or m * 2^k) with the 53-bit integer mantissa m.
+z3::expr ExactReal(z3::context& ctx, double v) {
+  int exp = 0;
+  const double frac = std::frexp(v, &exp);
+  const int64_t mantissa = static_cast<int64_t>(std::ldexp(frac, 53));
+  exp -= 53;
+  // Decimal 2^|exp| by repeated doubling (little-endian digits).
+  std::vector<int> digits = {1};
+  for (int i = 0; i < std::abs(exp); ++i) {
+    int carry = 0;
+    for (int& d : digits) {
+      d = d * 2 + carry;
+      carry = d / 10;
+      d %= 10;
+    }
+    if (carry > 0) digits.push_back(carry);
+  }
+  std::string pow2;
+  for (auto it = digits.rbegin(); it != digits.rend(); ++it) {
+    pow2 += static_cast<char>('0' + *it);
+  }
+  const z3::expr m = ctx.real_val(std::to_string(mantissa).c_str());
+  const z3::expr p = ctx.real_val(pow2.c_str());
+  return exp < 0 ? m / p : m * p;
+}
+#endif
+
+// In exact rationals, no valid integer allocation with >= 1 row beats
+// the served ends: sum(v_hi * x) > hi * sum(x) and sum(v_lo * x) <
+// lo * sum(x) are both unsatisfiable.
+TEST(BoundSolverTest, AvgEndsAreHardInExactRationals) {
+#ifndef PCX_HAVE_Z3
+  GTEST_SKIP() << "built without libz3";
+#else
+  Rng rng(77);
+  for (int trial = 0; trial < 120; ++trial) {
+    const TinyAvgInstance inst = RandomTinyAvgInstance(rng);
+    PcBoundSolver solver(inst.pcs);
+    const auto range = solver.Bound(AggQuery::Avg(1));
+    ASSERT_TRUE(range.ok()) << "trial " << trial;
+    if (!range->defined) continue;
+    z3::context ctx;
+    z3::solver s(ctx);
+    z3::expr rows = ctx.real_val(0);
+    z3::expr sum_hi = ctx.real_val(0), sum_lo = ctx.real_val(0);
+    std::vector<z3::expr> per_pc(inst.f_hi.size(), ctx.int_val(0));
+    for (size_t p = 0; p < inst.patterns.size(); ++p) {
+      const TinyAvgInstance::Pattern& pat = inst.patterns[p];
+      const z3::expr x = ctx.int_const(("x" + std::to_string(p)).c_str());
+      s.add(x >= 0);
+      for (size_t j : pat.covering) per_pc[j] = per_pc[j] + x;
+      const z3::expr xr = z3::to_real(x);
+      rows = rows + xr;
+      sum_hi = sum_hi + ExactReal(ctx, pat.v_hi) * xr;
+      sum_lo = sum_lo + ExactReal(ctx, pat.v_lo) * xr;
+    }
+    for (size_t j = 0; j < per_pc.size(); ++j) {
+      s.add(per_pc[j] >= ctx.int_val(static_cast<int>(inst.f_lo[j])));
+      s.add(per_pc[j] <= ctx.int_val(static_cast<int>(inst.f_hi[j])));
+    }
+    s.add(rows >= 1);
+    s.push();
+    s.add(sum_hi > ExactReal(ctx, range->hi) * rows);
+    EXPECT_EQ(s.check(), z3::unsat) << "hi end beaten, trial " << trial;
+    s.pop();
+    s.add(sum_lo < ExactReal(ctx, range->lo) * rows);
+    EXPECT_EQ(s.check(), z3::unsat) << "lo end beaten, trial " << trial;
+  }
+#endif
+}
+
+// A PC without a frequency cap makes the ratio program unbounded at
+// the first step, so AVG falls back to the bisection. Pins its bytes:
+// the upper end is the bracket's infeasible end, (10*40 + 5*20) / 15
+// = 33.33... rounded up by the 1e-9 bracket.
+TEST(BoundSolverTest, AvgUnboundedFrequencyFallsBackToBisection) {
+  PredicateConstraintSet pcs;
+  pcs.Add(SalesPc(0, 24, 10.0, 20.0, 0, kInf));
+  pcs.Add(SalesPc(24, 48, 30.0, 40.0, 0, 10));
+  pcs.Add(SalesPc(0, 48, 0.0, 100.0, 15, kInf));
+  PcBoundSolver solver(pcs);
+  const auto range = solver.Bound(AggQuery::Avg(1));
+  ASSERT_TRUE(range.ok());
+  EXPECT_EQ(range->hi, 0x1.0aaaaaaaaep+5);
+  EXPECT_EQ(range->lo, 0x1.4p+3);  // 10: the lower bracket never moves
+  EXPECT_TRUE(range->defined);
+}
+
+// With no branch-and-bound node budget every step stops at the node
+// limit, so AVG falls back to the bisection, which reports the limit.
+TEST(BoundSolverTest, AvgNodeLimitFallsBackToBisection) {
+  PredicateConstraintSet pcs;
+  pcs.Add(SalesPc(0, 24, 10.0, 20.0, 50, 100));
+  pcs.Add(SalesPc(12, 36, 30.0, 40.0, 0, 100));
+  PcBoundSolver::Options options;
+  options.milp.max_nodes = 0;
+  PcBoundSolver solver(pcs, {}, options);
+  const auto range = solver.Bound(AggQuery::Avg(1));
+  ASSERT_FALSE(range.ok());
+  EXPECT_EQ(range.status().ToString(),
+            "RESOURCE_EXHAUSTED: MILP node/iteration limit reached");
 }
 
 TEST(BoundSolverTest, MinMaxBounds) {

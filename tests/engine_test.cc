@@ -249,6 +249,9 @@ TEST(EngineTest, ServerVerbsAreUnimplementedInProcess) {
                 std::string::npos)
           << reply.status();
     }
+    const auto metrics = engine.backend()->Metrics();
+    ASSERT_FALSE(metrics.ok());
+    EXPECT_EQ(metrics.status().code(), StatusCode::kUnimplemented);
   }
 }
 

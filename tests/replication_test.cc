@@ -587,6 +587,11 @@ TEST(FailoverUriTest, KnowsTheAttributeCountBeforeTheFirstCall) {
   ASSERT_TRUE(health.ok()) << health.status();
   EXPECT_EQ(health->rfind("HEALTH loaded=1 ", 0), 0u) << *health;
   EXPECT_NE(health->find(" attrs=3 "), std::string::npos) << *health;
+  // So does a METRICS scrape.
+  const StatusOr<std::string> metrics = engine->backend()->Metrics();
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  EXPECT_NE(metrics->find("pcx_requests_total"), std::string::npos)
+      << *metrics;
 
   // A list with no live candidate still constructs; calls fail typed.
   StatusOr<Engine> dead = Engine::Open("failover:tcp:127.0.0.1:1");

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <string>
+
 #include "common/random.h"
 #include "pc/bound_solver.h"
 #include "pc/serialization.h"
@@ -66,6 +71,40 @@ TEST(IntervalSerializationTest, RejectsNaN) {
       ParsePcBody("pred={0:[0,5]} values={1:[0,1]} freq=[0,nan]", 2);
   ASSERT_FALSE(pc.ok());
   EXPECT_EQ(pc.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ParseNumber takes a from_chars fast path; on every edge token it must
+// accept exactly what strtod accepts whole (NaN aside), with the same
+// bits, and reject the rest with the same text.
+TEST(NumberParsingTest, MatchesStrtodOnEdgeTokens) {
+  const char* const kTokens[] = {
+      "0", "-0", "+0", "1.5", "+1.5", "-1.5", ".5", "5.", "1e5", "1E+5",
+      "1e-5", "0.1", "10.3", "48.677978003003211", "1.7976931348623157e308",
+      "1e308", "1e309", "-1e309", "2.2250738585072014e-308",
+      "2.2250738585072011e-308", "4.9e-324", "1e-400", "-1e-400",
+      "123456789012345678901234567890", "0x1p3", "0X1.8P1", "-0x10",
+      "inf", "+inf", "-inf", "INF", "Infinity", "-infinity", "nan", "-nan",
+      "NaN", "nan(123)", "", "-", "+", ".", "e5", "1e", "1e+", "--1",
+      "1,5", "1_000", " 5", "5 ", "\t5", "0b101", "1.2.3"};
+  for (const char* token : kTokens) {
+    const std::string s = token;
+    char* end = nullptr;
+    const double want = std::strtod(s.c_str(), &end);
+    const bool whole = end != s.c_str() && *end == '\0';
+    const StatusOr<double> got = ParseNumber(s);
+    if (!whole) {
+      ASSERT_FALSE(got.ok()) << "'" << s << "'";
+      EXPECT_EQ(got.status().message(), "bad number '" + s + "'");
+    } else if (std::isnan(want)) {
+      ASSERT_FALSE(got.ok()) << "'" << s << "'";
+      EXPECT_EQ(got.status().message(),
+                "NaN is not a valid number '" + s + "'");
+    } else {
+      ASSERT_TRUE(got.ok()) << "'" << s << "': " << got.status();
+      EXPECT_EQ(std::memcmp(&*got, &want, sizeof(double)), 0)
+          << "'" << s << "' parsed " << *got << ", strtod " << want;
+    }
+  }
 }
 
 TEST(PcSetSerializationTest, RoundTripPreservesSemantics) {

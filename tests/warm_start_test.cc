@@ -106,7 +106,7 @@ TEST(WarmStartTest, MilpWithAndWithoutWarmStartAgree) {
 TEST(WarmStartTest, ChainedAllocationSolvesReducePivotsEndToEnd) {
   // The deployed warm-start pattern: PcBoundSolver re-solves one
   // allocation-row set under many objectives (MIN/MAX occupancy scans,
-  // the AVG binary search), chaining the root basis between solves.
+  // the AVG ratio iteration), chaining the root basis between solves.
   // Solution::pivots counts basis-install eliminations too, so the
   // lp_pivots comparison against per-solve cold phase-1/phase-2 is
   // honest — and on the paper-shaped models it must still win.

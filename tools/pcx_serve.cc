@@ -39,7 +39,6 @@
 
 #include "common/text.h"
 #include "engine/engine.h"
-#include "engine/remote_backend.h"
 #include "pc/serialization.h"
 #include "serve/event_loop.h"
 #include "serve/replicator.h"
@@ -268,14 +267,9 @@ int RunClient(const std::string& uri) {
       }
     } else if (cmd == "METRICS") {
       // The server's Prometheus exposition, printed raw (no counted
-      // header) — `pcx_serve --connect=tcp:... <<< METRICS` is a scrape.
-      auto* remote =
-          dynamic_cast<pcx::RemoteBackend*>(engine->backend().get());
-      if (remote == nullptr) {
-        error = pcx::Status::Unimplemented(
-            "METRICS needs a tcp: engine (in-process engines have no "
-            "server registry)");
-      } else if (const auto body = remote->Metrics(); body.ok()) {
+      // header) — `pcx_serve --connect=tcp:... <<< METRICS` is a scrape;
+      // through failover: it scrapes the picked candidate.
+      if (const auto body = engine->backend()->Metrics(); body.ok()) {
         std::cout << *body;
       } else {
         error = body.status();
