@@ -160,8 +160,6 @@ StatusOr<Engine> OpenTcp(const std::string& body) {
     } else if (key == "retry_cap_ms") {
       PCX_ASSIGN_OR_RETURN(const uint64_t ms, ParseU64(value));
       retry.max_backoff_ms = static_cast<uint32_t>(ms);
-    } else if (key == "jitter") {
-      retry.jitter = value != "0";
     } else if (key == "retry_seed") {
       PCX_ASSIGN_OR_RETURN(retry.jitter_seed, ParseU64(value));
     } else {

@@ -242,12 +242,6 @@ std::string WhereSuffix(const AggQuery& query) {
 uint32_t NextRetryBackoffMs(const RemoteBackend::RetryPolicy& policy,
                             uint32_t prev_ms, Rng& rng) {
   const uint32_t cap = std::max(policy.max_backoff_ms, policy.backoff_ms);
-  if (!policy.jitter) {
-    // Legacy deterministic doubling, capped.
-    const uint64_t next =
-        prev_ms == 0 ? policy.backoff_ms : uint64_t{prev_ms} * 2;
-    return static_cast<uint32_t>(std::min<uint64_t>(next, cap));
-  }
   // Decorrelated jitter (sleep = U[base, 3*prev]): the expected sleep
   // still grows geometrically, but concurrent clients spread across the
   // whole interval instead of knocking again in synchronized waves.

@@ -93,14 +93,8 @@ class RemoteBackend : public BoundBackend {
     uint32_t backoff_ms = 5;
     /// Ceiling on any single backoff sleep.
     uint32_t max_backoff_ms = 2000;
-    /// Decorrelated jitter (sleep uniform in [base, 3*previous], capped)
-    /// instead of deterministic doubling: when a whole fleet of clients
-    /// gets shed by one overloaded server, jittered retries spread the
-    /// readmission wave instead of resynchronizing it into the next
-    /// spike. Off = the legacy doubling, for callers that want exact
-    /// reproducibility of sleep sequences.
-    bool jitter = true;
-    /// Seed for the jitter stream (deterministic like every RNG here).
+    /// Seed for the decorrelated-jitter stream (see NextRetryBackoffMs);
+    /// deterministic like every RNG here, so a seed replays its sleeps.
     uint64_t jitter_seed = 0xB5297A4D3F84D5B5ULL;
   };
 
@@ -173,10 +167,13 @@ class RemoteBackend : public BoundBackend {
 };
 
 /// The next backoff sleep under `policy` given the previous sleep (0 on
-/// the first retry): decorrelated jitter — uniform in
-/// [base, 3*max(prev, base)], capped at max_backoff_ms — when
-/// policy.jitter is set, else the legacy capped doubling. Free-standing
-/// so tests can pin the sequence down without a live server.
+/// the first retry): decorrelated jitter, uniform in
+/// [base, 3*max(prev, base)] capped at max_backoff_ms. When a whole
+/// fleet of clients gets shed by one overloaded server, jittered
+/// retries spread the readmission wave instead of resynchronizing it
+/// into the next spike. Free-standing so tests can pin the sequence
+/// down without a live server, and shared with ReplicaTailer's
+/// reconnect loop.
 uint32_t NextRetryBackoffMs(const RemoteBackend::RetryPolicy& policy,
                             uint32_t prev_ms, Rng& rng);
 

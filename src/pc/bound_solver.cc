@@ -52,31 +52,9 @@ PcBoundSolver::PcBoundSolver(PredicateConstraintSet pcs,
     for (size_t j = 0; j < pcs_.size(); ++j) {
       boxes.push_back(pcs_.at(j).predicate().box());
     }
-    route_index_ = std::make_shared<const route::RouteIndex>(std::move(boxes),
+    route_index_ = std::make_unique<const route::RouteIndex>(std::move(boxes),
                                                              domains_);
   }
-  // Value negation keeps every predicate box intact, so the sibling
-  // inherits the disjointness verdict and the route index instead of
-  // recomputing either; the tag ctor also stops the recursion (the
-  // sibling of the sibling would be *this again).
-  negated_solver_ = std::unique_ptr<const PcBoundSolver>(
-      new PcBoundSolver(InheritDisjointTag{}, pcs_.NegatedValues(), domains_,
-                        options_, predicates_disjoint_, route_index_));
-  if (options_.persistent_sat_cache) {
-    persistent_checker_ = std::make_unique<IntervalSatChecker>(domains_);
-  }
-}
-
-PcBoundSolver::PcBoundSolver(InheritDisjointTag, PredicateConstraintSet pcs,
-                             const std::vector<AttrDomain>& domains,
-                             const Options& options, bool predicates_disjoint,
-                             std::shared_ptr<const route::RouteIndex>
-                                 route_index)
-    : pcs_(std::move(pcs)),
-      domains_(domains),
-      options_(options),
-      predicates_disjoint_(predicates_disjoint),
-      route_index_(std::move(route_index)) {
   if (options_.persistent_sat_cache) {
     persistent_checker_ = std::make_unique<IntervalSatChecker>(domains_);
   }
@@ -336,24 +314,27 @@ StatusOr<ResultRange> PcBoundSolver::BoundAvg(const AggQuery& query,
   }
   out.hi = *hi_res;
 
-  std::vector<CellBound> negated = cells;
-  for (CellBound& c : negated) {
-    const double lo = c.val_lo, hi = c.val_hi;
-    c.val_lo = -hi;
-    c.val_hi = -lo;
-  }
-  std::swap(cells, negated);  // reuse the captured-by-reference lambda
+  NegateValues(cells);  // the lambda captures `cells` by reference
   auto lo_res = upper_avg([](const CellBound& c) { return c.val_hi; });
-  std::swap(cells, negated);
   if (!lo_res.ok()) return lo_res.status();
   out.lo = -*lo_res;
   return out;
 }
 
+void PcBoundSolver::NegateValues(std::vector<CellBound>& cells) {
+  for (CellBound& c : cells) {
+    const double lo = c.val_lo;
+    c.val_lo = -c.val_hi;
+    c.val_hi = -lo;
+  }
+}
+
 StatusOr<ResultRange> PcBoundSolver::BoundMax(const AggQuery& query,
+                                              bool negate,
                                               SolveStats& stats) const {
   PCX_ASSIGN_OR_RETURN(std::vector<CellBound> cells,
                        BuildCells(query, query.attr, stats));
+  if (negate) NegateValues(cells);
   ResultRange out;
   PCX_ASSIGN_OR_RETURN(out.empty_instance_possible,
                        EmptyInstancePossible(query));
@@ -427,29 +408,18 @@ StatusOr<ResultRange> PcBoundSolver::BoundMax(const AggQuery& query,
   return out;
 }
 
-StatusOr<double> PcBoundSolver::DisjointUpper(const AggQuery& query,
-                                              bool count) const {
-  return DisjointUpperOn(pcs_, query, count);
-}
-
-StatusOr<double> PcBoundSolver::DisjointUpperOn(
-    const PredicateConstraintSet& pcs, const AggQuery& query,
-    bool count) const {
-  // `pcs` is either pcs_ or its value negation — predicate boxes are
-  // identical in both, so the one compiled index prunes for either set.
-  // A pruned j is exactly one with pred ∩ WHERE empty under the
-  // domains, which the loop body would `continue` past before touching
-  // the total or the infeasibility check — same result, fewer
+StatusOr<double> PcBoundSolver::DisjointUpper(
+    const AggQuery& query, const std::optional<std::vector<uint32_t>>& relevant,
+    bool count, bool negate) const {
+  // A j missing from `relevant` is exactly one with pred ∩ WHERE empty
+  // under the domains, which the loop body would `continue` past before
+  // touching the total or the infeasibility check — same result, fewer
   // IntersectionEmpty probes.
-  std::optional<std::vector<uint32_t>> relevant = RelevantFor(query);
-  if (relevant.has_value()) {
-    PCX_CHECK_EQ(pcs.size(), route_index_->size());
-  }
-  const size_t limit = relevant.has_value() ? relevant->size() : pcs.size();
+  const size_t limit = relevant.has_value() ? relevant->size() : pcs_.size();
   double total = 0.0;
   for (size_t jj = 0; jj < limit; ++jj) {
     const size_t j = relevant.has_value() ? (*relevant)[jj] : jj;
-    const PredicateConstraint& pc = pcs.at(j);
+    const PredicateConstraint& pc = pcs_.at(j);
     Box region = pc.predicate().box();
     if (query.where.has_value()) {
       region.IntersectWith(query.where->box());
@@ -470,7 +440,9 @@ StatusOr<double> PcBoundSolver::DisjointUpperOn(
       total += k_hi;
       continue;
     }
-    const double u = combined.dim(query.attr).hi;
+    // Negated, the per-row bound is -lo: max SUM(-v) over the same box.
+    const double u = negate ? -combined.dim(query.attr).lo
+                            : combined.dim(query.attr).hi;
     if (u == kInf && k_hi > 0.0) return kInf;
     // Allocate the maximum count at positive per-row values, otherwise
     // only the mandatory rows.
@@ -498,13 +470,15 @@ StatusOr<ResultRange> PcBoundSolver::BoundImpl(const AggQuery& query,
     case AggFunc::kSum: {
       if (predicates_disjoint_) {
         stats.used_disjoint_fast_path = true;
+        const std::optional<std::vector<uint32_t>> relevant =
+            RelevantFor(query);
         PCX_ASSIGN_OR_RETURN(const double hi,
-                             DisjointUpper(query, /*count=*/false));
-        // min SUM(v) = -max SUM(-v) on the value-negated set.
-        PCX_ASSIGN_OR_RETURN(
-            const double neg_hi,
-            DisjointUpperOn(negated_solver_->constraints(), query,
-                            /*count=*/false));
+                             DisjointUpper(query, relevant, /*count=*/false,
+                                           /*negate=*/false));
+        // min SUM(v) = -max SUM(-v) over the same PCs.
+        PCX_ASSIGN_OR_RETURN(const double neg_hi,
+                             DisjointUpper(query, relevant, /*count=*/false,
+                                           /*negate=*/true));
         ResultRange r;
         r.hi = hi;
         r.lo = -neg_hi;
@@ -552,7 +526,8 @@ StatusOr<ResultRange> PcBoundSolver::BoundImpl(const AggQuery& query,
       if (predicates_disjoint_) {
         stats.used_disjoint_fast_path = true;
         PCX_ASSIGN_OR_RETURN(const double hi,
-                             DisjointUpper(query, /*count=*/true));
+                             DisjointUpper(query, RelevantFor(query),
+                                           /*count=*/true, /*negate=*/false));
         double lo = 0.0;
         for (size_t j = 0; j < pcs_.size(); ++j) {
           const PredicateConstraint& pc = pcs_.at(j);
@@ -587,13 +562,11 @@ StatusOr<ResultRange> PcBoundSolver::BoundImpl(const AggQuery& query,
     case AggFunc::kAvg:
       return BoundAvg(query, stats);
     case AggFunc::kMax:
-      return BoundMax(query, stats);
+      return BoundMax(query, /*negate=*/false, stats);
     case AggFunc::kMin: {
-      // MIN over v is -MAX over -v, answered by the precomputed sibling
-      // solver over the value-negated set.
-      PCX_CHECK(negated_solver_ != nullptr);
+      // MIN over v is -MAX over -v: the same cells, values negated.
       PCX_ASSIGN_OR_RETURN(ResultRange m,
-                           negated_solver_->BoundMax(query, stats));
+                           BoundMax(query, /*negate=*/true, stats));
       ResultRange r = m;
       r.lo = -m.hi;
       r.hi = -m.lo;

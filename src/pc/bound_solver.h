@@ -27,10 +27,11 @@ namespace pcx {
 /// frequency constraints, solved by the built-in branch-and-bound.
 /// SUM/COUNT are a single MILP; AVG runs Dinkelbach's ratio iteration
 /// over the same MILP; MIN and MAX scan cell bounds with an occupancy
-/// check. Lower bounds reduce to upper bounds on the value-negated
-/// constraint set. When the predicates are pairwise disjoint, a greedy
-/// O(n) fast path replaces the decomposition and the MILP entirely
-/// (paper §4.2, Fig. 8).
+/// check. Lower ends (and MIN) reduce to upper ends over the same cells
+/// with every value interval negated in place, [l, h] -> [-h, -l]; the
+/// predicates and the WHERE are never negated. When the predicates are
+/// pairwise disjoint, a greedy O(n) fast path replaces the
+/// decomposition and the MILP entirely (paper §4.2, Fig. 8).
 class PcBoundSolver {
  public:
   struct Options {
@@ -125,23 +126,11 @@ class PcBoundSolver {
   const Options& options() const { return options_; }
 
   /// The compiled predicate-box index, or null when disabled / the set
-  /// is empty. Shared with the value-negated sibling (value negation
-  /// never touches a predicate box) and consulted by ShardedBoundSolver
-  /// for per-shard member routing, so one compilation serves dispatch
-  /// at every layer.
+  /// is empty. Consulted by ShardedBoundSolver for per-shard member
+  /// routing, so one compilation serves dispatch at every layer.
   const route::RouteIndex* route_index() const { return route_index_.get(); }
 
  private:
-  /// Tag constructor used for the internal value-negated solver: value
-  /// negation leaves every predicate box untouched, so the disjointness
-  /// verdict — and the compiled route index — are inherited instead of
-  /// being recomputed.
-  struct InheritDisjointTag {};
-  PcBoundSolver(InheritDisjointTag, PredicateConstraintSet pcs,
-                const std::vector<AttrDomain>& domains, const Options& options,
-                bool predicates_disjoint,
-                std::shared_ptr<const route::RouteIndex> route_index);
-
   /// A decomposition cell reduced to what the MILP needs: the feasible
   /// value interval of the aggregate attribute and the covering PCs.
   struct CellBound {
@@ -149,6 +138,10 @@ class PcBoundSolver {
     double val_hi = 0.0;
     CoveringSet covering;
   };
+
+  /// [val_lo, val_hi] -> [-val_hi, -val_lo] on every cell: an upper end
+  /// over the negated cells is minus the lower end over `cells`.
+  static void NegateValues(std::vector<CellBound>& cells);
 
   /// All query-scoped methods write their diagnostics into an explicit
   /// stats object so BoundBatch can run them concurrently from many
@@ -196,40 +189,34 @@ class PcBoundSolver {
                                   SolveStats& stats) const;
   StatusOr<ResultRange> BoundAvg(const AggQuery& query,
                                  SolveStats& stats) const;
-  StatusOr<ResultRange> BoundMax(const AggQuery& query,
+  /// MAX over the query's cells; with `negate`, MAX of -v over the
+  /// same cells (MIN(v) = -MAX(-v)).
+  StatusOr<ResultRange> BoundMax(const AggQuery& query, bool negate,
                                  SolveStats& stats) const;
 
-  /// Greedy closed form when all predicates are pairwise disjoint.
-  StatusOr<double> DisjointUpper(const AggQuery& query, bool count) const;
-
-  /// DisjointUpper evaluated over an arbitrary constraint set (used for
-  /// the value-negated lower-bound pass without re-running the
-  /// disjointness detection).
-  StatusOr<double> DisjointUpperOn(const PredicateConstraintSet& pcs,
-                                   const AggQuery& query, bool count) const;
+  /// Greedy closed form when all predicates are pairwise disjoint: the
+  /// max of COUNT, or of SUM(v) (SUM(-v) with `negate`), over the PCs
+  /// `relevant` lists (RelevantFor(query); nullopt = all of them).
+  StatusOr<double> DisjointUpper(
+      const AggQuery& query,
+      const std::optional<std::vector<uint32_t>>& relevant, bool count,
+      bool negate) const;
 
   /// True if the PC set admits an instance with zero rows matching the
   /// query region.
   StatusOr<bool> EmptyInstancePossible(const AggQuery& query) const;
 
   PredicateConstraintSet pcs_;
-  /// Sibling solver over pcs_.NegatedValues(), built once: the SUM
-  /// lower bound reads its constraint set and the whole MIN path runs
-  /// on it for every query (MIN(v) = -MAX(-v)). Null only inside that
-  /// sibling itself (tag constructor), which never serves MIN queries.
-  std::unique_ptr<const PcBoundSolver> negated_solver_;
   std::vector<AttrDomain> domains_;
   Options options_;
   bool predicates_disjoint_ = false;
-  /// Compiled over pcs_'s predicate boxes (id i == PC index i); shared
-  /// with the negated sibling whose boxes are identical.
-  std::shared_ptr<const route::RouteIndex> route_index_;
+  /// Compiled over pcs_'s predicate boxes (id i == PC index i).
+  std::unique_ptr<const route::RouteIndex> route_index_;
   mutable SolveStats stats_;
   /// Non-null iff options_.persistent_sat_cache: the cross-decomposition
   /// memo cache, serialized by sat_mu_ (IntervalSatChecker is not
-  /// thread-safe). The negated sibling owns its own. The pointer itself
-  /// is set once at construction; only the pointed-to checker needs the
-  /// lock.
+  /// thread-safe). The pointer itself is set once at construction; only
+  /// the pointed-to checker needs the lock.
   mutable Mutex sat_mu_;
   mutable std::unique_ptr<IntervalSatChecker> persistent_checker_
       PT_GUARDED_BY(sat_mu_);

@@ -59,13 +59,6 @@ bool PredicateConstraintSet::PredicatesDisjoint(
   return disjoint;
 }
 
-PredicateConstraintSet PredicateConstraintSet::NegatedValues() const {
-  std::vector<PredicateConstraint> out;
-  out.reserve(pcs_.size());
-  for (const auto& pc : pcs_) out.push_back(pc.NegatedValues());
-  return PredicateConstraintSet(std::move(out));
-}
-
 std::string PredicateConstraintSet::ToString() const {
   std::ostringstream os;
   os << "{\n";

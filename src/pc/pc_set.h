@@ -39,10 +39,6 @@ class PredicateConstraintSet {
   /// of paper §4.2 (partitioned PCs, Fig. 8).
   bool PredicatesDisjoint(const std::vector<AttrDomain>& domains = {}) const;
 
-  /// Set with every constraint's value ranges negated; used to turn
-  /// minimization into maximization.
-  PredicateConstraintSet NegatedValues() const;
-
   std::string ToString() const;
 
  private:

@@ -30,20 +30,6 @@ bool PredicateConstraint::SatisfiedBy(const Table& table) const {
   return m >= frequency_.lo && m <= frequency_.hi;
 }
 
-PredicateConstraint PredicateConstraint::NegatedValues() const {
-  Box negated(values_.num_attrs());
-  for (size_t c = 0; c < values_.num_attrs(); ++c) {
-    const Interval& iv = values_.dim(c);
-    Interval flipped;
-    flipped.lo = -iv.hi;
-    flipped.hi = -iv.lo;
-    flipped.lo_strict = iv.hi_strict;
-    flipped.hi_strict = iv.lo_strict;
-    negated.Constrain(c, flipped);
-  }
-  return PredicateConstraint(predicate_, negated, frequency_);
-}
-
 std::string PredicateConstraint::ToString() const {
   std::ostringstream os;
   os << predicate_.ToString() << " => values " << values_.ToString()

@@ -50,11 +50,6 @@ class PredicateConstraint {
   double ValueUpper(size_t attr) const { return values_.dim(attr).hi; }
   double ValueLower(size_t attr) const { return values_.dim(attr).lo; }
 
-  /// A constraint with all value ranges negated: [l, h] -> [-h, -l].
-  /// Lower-bound problems are solved by maximizing the negated
-  /// constraint set (paper §4).
-  PredicateConstraint NegatedValues() const;
-
   std::string ToString() const;
 
  private:

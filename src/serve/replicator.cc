@@ -1,6 +1,5 @@
 #include "serve/replicator.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "common/random.h"
@@ -130,6 +129,9 @@ StatusOr<uint64_t> ReplicaTailer::SyncOnce(LineTransport& transport,
 
 void ReplicaTailer::Run() {
   Rng rng(options_.jitter_seed);
+  RemoteBackend::RetryPolicy backoff;
+  backoff.backoff_ms = options_.reconnect_min_ms;
+  backoff.max_backoff_ms = options_.reconnect_max_ms;
   std::unique_ptr<TcpClientTransport> transport;
   uint32_t backoff_ms = options_.reconnect_min_ms;
   while (true) {
@@ -138,14 +140,9 @@ void ReplicaTailer::Run() {
                                                    options_.port);
       if (!connected.ok()) {
         server_.replication().sync_failures.Increment();
-        // Decorrelated jitter: sleep in [min, 3*prev], capped — a fleet
-        // of replicas reconnecting to a restarted primary spreads out
-        // instead of stampeding in lockstep.
-        const uint32_t hi = std::min<uint32_t>(
-            options_.reconnect_max_ms,
-            std::max(backoff_ms, options_.reconnect_min_ms) * 3);
-        backoff_ms = static_cast<uint32_t>(
-            rng.UniformInt(options_.reconnect_min_ms, hi));
+        // Decorrelated jitter: a fleet of replicas reconnecting to a
+        // restarted primary spreads out instead of stampeding in lockstep.
+        backoff_ms = NextRetryBackoffMs(backoff, backoff_ms, rng);
         if (!SleepFor(backoff_ms)) return;
         continue;
       }

@@ -223,8 +223,8 @@ class ShardedBoundSolver {
   std::shared_ptr<const PcBoundSolver> SolverFor(ShardMask mask) const;
 
   /// Cap on memoized union solvers: each entry owns a constraint-set
-  /// copy, a negated sibling, and (if enabled) persistent SAT caches,
-  /// so a long-lived server must not accumulate one per distinct mask
+  /// copy, a route index and (if enabled) a persistent SAT cache, so a
+  /// long-lived server must not accumulate one per distinct mask
   /// forever.
   static constexpr size_t kMaxUnionSolvers = 256;
 

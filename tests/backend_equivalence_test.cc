@@ -136,10 +136,11 @@ std::string WritePcSetFile(const PredicateConstraintSet& pcs,
 
 std::string WriteSnapshotFile(const PredicateConstraintSet& pcs,
                               size_t shards, uint64_t epoch,
-                              const std::string& name) {
-  const Partition partition =
-      PartitionPcSet(pcs, {}, {shards, PartitionStrategy::kAttributeRange});
-  const Snapshot snap = MakeSnapshot(pcs, {}, partition, epoch);
+                              const std::string& name,
+                              const std::vector<AttrDomain>& domains = {}) {
+  const Partition partition = PartitionPcSet(
+      pcs, domains, {shards, PartitionStrategy::kAttributeRange});
+  const Snapshot snap = MakeSnapshot(pcs, domains, partition, epoch);
   const std::string path = TestTempPath(name);
   PCX_CHECK(WriteSnapshot(snap, path).ok());
   return path;
@@ -163,15 +164,17 @@ constexpr uint64_t kReferenceEpoch = 0;
 
 class BackendEquivalenceTest : public testing::TestWithParam<BackendKind> {
  protected:
-  /// Builds the engine under test for `pcs`, plus whatever server
-  /// machinery the kind needs. `tag` keeps temp files distinct.
-  Engine OpenEngine(const PredicateConstraintSet& pcs,
-                    const std::string& tag) {
+  /// Builds the engine under test for `pcs` (with `domains`), plus
+  /// whatever server machinery the kind needs. `tag` keeps temp files
+  /// distinct.
+  Engine OpenEngine(const PredicateConstraintSet& pcs, const std::string& tag,
+                    const std::vector<AttrDomain>& domains = {}) {
     const BackendKind& kind = GetParam();
     std::string uri;
     if (kind.remote) {
-      const std::string snap = WriteSnapshotFile(
-          pcs, 2, kReferenceEpoch, "equiv_" + tag + "_remote.pcxsnap");
+      const std::string snap =
+          WriteSnapshotFile(pcs, 2, kReferenceEpoch,
+                            "equiv_" + tag + "_remote.pcxsnap", domains);
       PCX_CHECK(server_.LoadSnapshotFile(snap).ok());
       StatusOr<EventLoopListener> listener = EventLoopListener::Bind(0);
       PCX_CHECK(listener.ok()) << listener.status();
@@ -188,15 +191,22 @@ class BackendEquivalenceTest : public testing::TestWithParam<BackendKind> {
       // twin of what pcx_serve loads.
       uri = "snapshot:" +
             WriteSnapshotFile(pcs, kind.shards, kReferenceEpoch,
-                              "equiv_" + tag + "_stored.pcxsnap");
+                              "equiv_" + tag + "_stored.pcxsnap", domains);
     } else if (kind.shards > 0) {
       // Stored as one shard, resharded at open: covers the ?shards=K
       // repartition path at every width.
-      const std::string snap = WriteSnapshotFile(
-          pcs, 1, kReferenceEpoch, "equiv_" + tag + "_sharded.pcxsnap");
+      const std::string snap =
+          WriteSnapshotFile(pcs, 1, kReferenceEpoch,
+                            "equiv_" + tag + "_sharded.pcxsnap", domains);
       uri = "snapshot:" + snap + "?shards=" + std::to_string(kind.shards);
     } else {
       uri = "local:" + WritePcSetFile(pcs, "equiv_" + tag + ".pcset");
+      std::string ints;
+      for (size_t a = 0; a < domains.size(); ++a) {
+        if (domains[a] != AttrDomain::kInteger) continue;
+        ints += (ints.empty() ? "" : ",") + std::to_string(a);
+      }
+      if (!ints.empty()) uri += "?int=" + ints;
     }
     StatusOr<Engine> engine = Engine::Open(uri);
     PCX_CHECK(engine.ok()) << uri << ": " << engine.status();
@@ -304,6 +314,77 @@ TEST_P(BackendEquivalenceTest, MinusZeroMinSurvivesEverySubstrate) {
                          AggFuncToString(agg));
   }
   ExpectReferenceEpoch(engine);
+  Shutdown(engine);
+}
+
+/// Expects `actual` to be the hand-computed `expected` RANGE line
+/// fields, and bit-identical to the reference solver's answer.
+void ExpectRange(const StatusOr<ResultRange>& reference,
+                 const StatusOr<ResultRange>& actual,
+                 const std::string& expected, const std::string& context) {
+  ExpectSameAnswer(reference, actual, context);
+  ASSERT_TRUE(actual.ok()) << context << ": " << actual.status();
+  EXPECT_EQ("lo=" + FormatNumber(actual->lo) + " hi=" +
+                FormatNumber(actual->hi) +
+                " defined=" + (actual->defined ? "1" : "0") +
+                " empty_possible=" +
+                (actual->empty_instance_possible ? "1" : "0"),
+            expected)
+      << context;
+}
+
+// A WHERE on the aggregated attribute itself. MIN once ran on a copy of
+// the set whose value boxes were negated but whose predicates and WHERE
+// were not, so it served [0, -0] and then "undefined" here although a
+// MIN of 50 is feasible. The set is the shipped example fleet
+// (examples/snapshots/sensors.pcset): hour (int), device (int), light.
+TEST_P(BackendEquivalenceTest, SensorsMinWithWhereOnTheAggregate) {
+  const StatusOr<PredicateConstraintSet> pcs = ParsePcSet(
+      "pcset v1 attrs=3\n"
+      "pc pred={0:[0,23]} values={2:[10,50]} freq=[2,5]\n"
+      "pc pred={0:[24,47]} values={2:[0,30]} freq=[0,4]\n"
+      "pc pred={0:[48,71]} values={2:[5,25]} freq=[1,3]\n");
+  ASSERT_TRUE(pcs.ok()) << pcs.status();
+  const std::vector<AttrDomain> domains = {
+      AttrDomain::kInteger, AttrDomain::kInteger, AttrDomain::kContinuous};
+  const PcBoundSolver reference(*pcs, domains);
+  Engine engine = OpenEngine(*pcs, "sensors", domains);
+  const std::string label = GetParam().label;
+
+  Predicate light(3);
+  light.AddRange(2, 0.0, 100.0);
+  ExpectRange(reference.Bound(AggQuery::Min(2, light)),
+              engine.Bound(AggQuery::Min(2, light)),
+              "lo=0 hi=50 defined=1 empty_possible=1", label + " MIN light");
+  Predicate first_day = light;
+  first_day.AddRange(0, 0.0, 23.0);
+  ExpectRange(reference.Bound(AggQuery::Min(2, first_day)),
+              engine.Bound(AggQuery::Min(2, first_day)),
+              "lo=10 hi=50 defined=1 empty_possible=1",
+              label + " MIN first day");
+  ExpectRange(reference.Bound(AggQuery::Max(2, first_day)),
+              engine.Bound(AggQuery::Max(2, first_day)),
+              "lo=10 hi=50 defined=1 empty_possible=1",
+              label + " MAX first day");
+  Shutdown(engine);
+}
+
+// One PC whose predicate and values bound the same attribute: exactly
+// one row with a value in [5, 10]. The disjoint SUM's lower end and MIN
+// once intersected the negated values [-10, -5] with the predicate
+// [5, 10] and answered INFEASIBLE and "undefined".
+TEST_P(BackendEquivalenceTest, OnePcConstrainingItsOwnAggregate) {
+  const StatusOr<PredicateConstraintSet> pcs = ParsePcSet(
+      "pcset v1 attrs=1\npc pred={0:[5,10]} values={0:[5,10]} freq=[1,1]\n");
+  ASSERT_TRUE(pcs.ok()) << pcs.status();
+  const PcBoundSolver reference(*pcs, {});
+  Engine engine = OpenEngine(*pcs, "self");
+  for (AggFunc agg : {AggFunc::kSum, AggFunc::kMin, AggFunc::kMax}) {
+    const AggQuery query{agg, 0, std::nullopt};
+    ExpectRange(reference.Bound(query), engine.Bound(query),
+                "lo=5 hi=10 defined=1 empty_possible=0",
+                std::string(GetParam().label) + " " + AggFuncToString(agg));
+  }
   Shutdown(engine);
 }
 

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -183,27 +184,37 @@ TEST(BoundSolverTest, AvgUpperEndIsHardWithWideValues) {
   EXPECT_GE(range->hi, 10.3);
 }
 
-/// A random tiny AVG instance: 2-4 PCs with closed integer key ranges
+/// A random tiny instance: 2-4 PCs with closed integer key ranges
 /// inside [0, 4] on attr 0, integer value bounds inside [-5, 5] on
-/// attr 1 and freq.hi <= 4. `patterns` lists the distinct sets of PCs
-/// covering some key: every region between the integer breakpoints
-/// holds a multiple of 0.5, so sampling those keys finds each region.
-/// Rows live only at covered keys (closure), with a value in the
-/// intersection of their covering PCs' value bounds.
+/// attr 1 and freq.hi <= 4. With `constrain_aggregate`, a PC predicate
+/// may also restrict attr 1, the aggregated attribute, and the instance
+/// may carry a WHERE box that restricts attr 1 (and maybe attr 0).
+/// `patterns` lists the distinct sets of PCs covering some point of the
+/// WHERE: every region between the integer breakpoints holds a point on
+/// the 0.5 grid, so sampling that grid finds each region. Rows live
+/// only at covered points (closure), with a value in the intersection
+/// of their covering PCs' value bounds; a pattern's [v_lo, v_hi] spans
+/// the grid values its points admit.
 struct TinyAvgInstance {
   struct Pattern {
     std::vector<size_t> covering;
     double v_lo = 0.0, v_hi = 0.0;
   };
   PredicateConstraintSet pcs;
+  std::optional<Predicate> where;
+  /// Frequency lower bounds; a PC the WHERE does not cover keeps none,
+  /// since its mandatory rows may lie outside the WHERE.
   std::vector<double> f_lo, f_hi;
   std::vector<Pattern> patterns;  ///< only those a row can occupy
+  /// A predicate or the WHERE restricts attr 1.
+  bool aggregate_constrained = false;
 };
 
-TinyAvgInstance RandomTinyAvgInstance(Rng& rng) {
+TinyAvgInstance RandomTinyAvgInstance(Rng& rng,
+                                      bool constrain_aggregate = false) {
   TinyAvgInstance inst;
   const size_t n = static_cast<size_t>(rng.UniformInt(2, 4));
-  std::vector<std::pair<double, double>> keys, vals;
+  std::vector<std::pair<double, double>> vals;
   for (size_t j = 0; j < n; ++j) {
     const int64_t a = rng.UniformInt(0, 3);
     const int64_t b = rng.UniformInt(a, 4);
@@ -213,38 +224,77 @@ TinyAvgInstance RandomTinyAvgInstance(Rng& rng) {
     const int64_t f_lo = rng.Bernoulli(0.5) ? 0 : rng.UniformInt(0, f_hi);
     Predicate pred(2);
     pred.AddRange(0, static_cast<double>(a), static_cast<double>(b));
+    if (constrain_aggregate && rng.Bernoulli(0.5)) {
+      const int64_t c = rng.UniformInt(-5, 5);
+      pred.AddRange(1, static_cast<double>(c),
+                    static_cast<double>(rng.UniformInt(c, 5)));
+      inst.aggregate_constrained = true;
+    }
     Box values(2);
     values.Constrain(1, Interval::Closed(static_cast<double>(lo),
                                          static_cast<double>(hi)));
     inst.pcs.Add(PredicateConstraint(
         pred, values,
         {static_cast<double>(f_lo), static_cast<double>(f_hi)}));
-    keys.push_back({static_cast<double>(a), static_cast<double>(b)});
     vals.push_back({static_cast<double>(lo), static_cast<double>(hi)});
     inst.f_lo.push_back(static_cast<double>(f_lo));
     inst.f_hi.push_back(static_cast<double>(f_hi));
   }
-  std::set<std::vector<size_t>> seen;
-  for (double key = 0.0; key <= 4.0; key += 0.5) {
-    TinyAvgInstance::Pattern p;
-    p.v_lo = -kInf;
-    p.v_hi = kInf;
+  if (constrain_aggregate && rng.Bernoulli(0.75)) {
+    Predicate where(2);
+    const int64_t c = rng.UniformInt(-5, 5);
+    where.AddRange(1, static_cast<double>(c),
+                   static_cast<double>(rng.UniformInt(c, 5)));
+    if (rng.Bernoulli(0.5)) {
+      const int64_t a = rng.UniformInt(0, 4);
+      where.AddRange(0, static_cast<double>(a),
+                     static_cast<double>(rng.UniformInt(a, 4)));
+    }
     for (size_t j = 0; j < n; ++j) {
-      if (keys[j].first <= key && key <= keys[j].second) {
-        p.covering.push_back(j);
-        p.v_lo = std::max(p.v_lo, vals[j].first);
-        p.v_hi = std::min(p.v_hi, vals[j].second);
+      if (!where.box().Covers(inst.pcs.at(j).predicate().box())) {
+        inst.f_lo[j] = 0.0;
       }
     }
-    if (p.covering.empty() || p.v_lo > p.v_hi) continue;
-    if (seen.insert(p.covering).second) inst.patterns.push_back(p);
+    inst.where = where;
+    inst.aggregate_constrained = true;
+  }
+  std::set<std::vector<size_t>> seen;
+  for (double key = 0.0; key <= 4.0; key += 0.5) {
+    for (double v = -5.0; v <= 5.0; v += 0.5) {
+      if (inst.where.has_value() && !inst.where->Matches({key, v})) continue;
+      std::vector<size_t> covering;
+      bool admitted = true;
+      for (size_t j = 0; j < n; ++j) {
+        if (inst.pcs.at(j).predicate().Matches({key, v})) {
+          covering.push_back(j);
+          admitted = admitted && vals[j].first <= v && v <= vals[j].second;
+        }
+      }
+      if (covering.empty() || !admitted) continue;
+      if (seen.insert(covering).second) {
+        inst.patterns.push_back({std::move(covering), v, v});
+        continue;
+      }
+      for (TinyAvgInstance::Pattern& p : inst.patterns) {
+        if (p.covering != covering) continue;
+        p.v_lo = std::min(p.v_lo, v);
+        p.v_hi = std::max(p.v_hi, v);
+      }
+    }
   }
   return inst;
 }
 
+/// The exact ranges over every valid allocation: SUM over all of them,
+/// the others over those with >= 1 row. Each row takes any value its
+/// pattern admits, so only the pattern's ends matter.
 struct TinyAvgTruth {
-  bool any_row = false;  ///< some valid allocation has >= 1 row
+  bool feasible = false;  ///< some valid allocation exists
+  bool any_row = false;   ///< some valid allocation has >= 1 row
   double max_avg = -kInf, min_avg = kInf;
+  double max_sum = -kInf, min_sum = kInf;
+  double max_max = -kInf, min_max = kInf;
+  double max_min = -kInf, min_min = kInf;
 };
 
 /// Enumerates every allocation of rows to patterns within the PCs'
@@ -252,16 +302,35 @@ struct TinyAvgTruth {
 TinyAvgTruth EnumerateAvg(const TinyAvgInstance& inst) {
   TinyAvgTruth truth;
   std::vector<double> per_pc(inst.f_hi.size(), 0.0);
+  std::vector<int> count(inst.patterns.size(), 0);
   double rows = 0.0, sum_hi = 0.0, sum_lo = 0.0;
   std::function<void(size_t)> visit = [&](size_t p) {
     if (p == inst.patterns.size()) {
       for (size_t j = 0; j < per_pc.size(); ++j) {
         if (per_pc[j] < inst.f_lo[j]) return;
       }
+      truth.feasible = true;
+      truth.max_sum = std::max(truth.max_sum, sum_hi);
+      truth.min_sum = std::min(truth.min_sum, sum_lo);
       if (rows < 1.0) return;
       truth.any_row = true;
       truth.max_avg = std::max(truth.max_avg, sum_hi / rows);
       truth.min_avg = std::min(truth.min_avg, sum_lo / rows);
+      // Over the occupied patterns: the largest value a row can take,
+      // the least the largest row must take, and so on for MIN.
+      double hi_of_hi = -kInf, hi_of_lo = -kInf;
+      double lo_of_hi = kInf, lo_of_lo = kInf;
+      for (size_t q = 0; q < count.size(); ++q) {
+        if (count[q] == 0) continue;
+        hi_of_hi = std::max(hi_of_hi, inst.patterns[q].v_hi);
+        hi_of_lo = std::max(hi_of_lo, inst.patterns[q].v_lo);
+        lo_of_hi = std::min(lo_of_hi, inst.patterns[q].v_hi);
+        lo_of_lo = std::min(lo_of_lo, inst.patterns[q].v_lo);
+      }
+      truth.max_max = std::max(truth.max_max, hi_of_hi);
+      truth.min_max = std::min(truth.min_max, hi_of_lo);
+      truth.max_min = std::max(truth.max_min, lo_of_hi);
+      truth.min_min = std::min(truth.min_min, lo_of_lo);
       return;
     }
     const TinyAvgInstance::Pattern& pat = inst.patterns[p];
@@ -270,11 +339,13 @@ TinyAvgTruth EnumerateAvg(const TinyAvgInstance& inst) {
       for (size_t j : pat.covering) fits = fits && per_pc[j] + c <= inst.f_hi[j];
       if (!fits) break;
       for (size_t j : pat.covering) per_pc[j] += c;
+      count[p] = c;
       rows += c;
       sum_hi += c * pat.v_hi;
       sum_lo += c * pat.v_lo;
       visit(p + 1);
       for (size_t j : pat.covering) per_pc[j] -= c;
+      count[p] = 0;
       rows -= c;
       sum_hi -= c * pat.v_hi;
       sum_lo -= c * pat.v_lo;
@@ -307,6 +378,75 @@ TEST(BoundSolverTest, AvgMatchesEnumerationOnTinyInstances) {
   // The draw must exercise both verdicts.
   EXPECT_GT(defined, 100u);
   EXPECT_LT(defined, 300u);
+}
+
+// Predicates and a WHERE that restrict the aggregated attribute itself:
+// every served range must enclose the enumerated one, on the disjoint
+// fast path and on the MILP path. Cells take their value interval from
+// a box hull, so a predicate on attr 1 may widen a range (a cell "in A
+// but not in B" keeps A's whole value box); without one the ranges are
+// exact.
+TEST(BoundSolverTest, RangesEncloseEnumerationWhenPredicatesConstrainTheValue) {
+  Rng rng(2025);
+  PcBoundSolver::Options milp_only;
+  milp_only.auto_disjoint_fast_path = false;
+  size_t constrained = 0, disjoint = 0, with_rows = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const TinyAvgInstance inst =
+        RandomTinyAvgInstance(rng, /*constrain_aggregate=*/true);
+    const TinyAvgTruth truth = EnumerateAvg(inst);
+    if (inst.aggregate_constrained) ++constrained;
+    if (inst.pcs.PredicatesDisjoint()) ++disjoint;
+    if (truth.any_row) ++with_rows;
+    const double tol = 1e-9;
+    auto expect_encloses = [&](double lo, double hi, double truth_lo,
+                               double truth_hi, const std::string& what) {
+      EXPECT_LE(lo, truth_lo + tol) << what;
+      EXPECT_GE(hi, truth_hi - tol) << what;
+      if (!inst.aggregate_constrained) {
+        EXPECT_NEAR(lo, truth_lo, tol) << what << " (exact case)";
+        EXPECT_NEAR(hi, truth_hi, tol) << what << " (exact case)";
+      }
+    };
+    const PcBoundSolver fast(inst.pcs);
+    const PcBoundSolver milp(inst.pcs, {}, milp_only);
+    for (const PcBoundSolver* solver : {&fast, &milp}) {
+      const std::string tag =
+          "trial " + std::to_string(trial) +
+          (solver == &fast ? " default" : " milp-only");
+      for (AggFunc agg : {AggFunc::kMin, AggFunc::kMax, AggFunc::kAvg}) {
+        const std::string what = tag + " " + AggFuncToString(agg);
+        const auto range = solver->Bound(AggQuery{agg, 1, inst.where});
+        EXPECT_TRUE(range.ok()) << what << ": " << range.status().ToString();
+        if (!range.ok() || !truth.any_row) continue;
+        EXPECT_TRUE(range->defined) << what;
+        if (!range->defined) continue;
+        if (agg == AggFunc::kMin) {
+          expect_encloses(range->lo, range->hi, truth.min_min, truth.max_min,
+                          what);
+        } else if (agg == AggFunc::kMax) {
+          expect_encloses(range->lo, range->hi, truth.min_max, truth.max_max,
+                          what);
+        } else {
+          EXPECT_LE(range->lo, truth.min_avg + tol) << what;
+          EXPECT_GE(range->hi, truth.max_avg - tol) << what;
+        }
+      }
+      if (!truth.feasible) continue;
+      const auto sum = solver->Bound(AggQuery::Sum(1, inst.where));
+      EXPECT_TRUE(sum.ok()) << tag << " SUM: " << sum.status().ToString();
+      if (!sum.ok()) continue;
+      EXPECT_EQ(solver->last_stats().used_disjoint_fast_path,
+                solver == &fast && inst.pcs.PredicatesDisjoint())
+          << tag;
+      expect_encloses(sum->lo, sum->hi, truth.min_sum, truth.max_sum,
+                      tag + " SUM");
+    }
+  }
+  // The draw must exercise every case it exists for.
+  EXPECT_GT(constrained, 200u);
+  EXPECT_GT(disjoint, 30u);
+  EXPECT_GT(with_rows, 100u);
 }
 
 #ifdef PCX_HAVE_Z3

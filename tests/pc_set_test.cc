@@ -43,16 +43,6 @@ TEST(PredicateConstraintTest, ValueBoundsAccessors) {
   EXPECT_EQ(pc.ValueUpper(1), 100.0);
 }
 
-TEST(PredicateConstraintTest, NegatedValuesFlipsRanges) {
-  const PredicateConstraint pc = MakePc(0, 10, -5, 100, 2, 3);
-  const PredicateConstraint neg = pc.NegatedValues();
-  EXPECT_EQ(neg.ValueLower(1), -100.0);
-  EXPECT_EQ(neg.ValueUpper(1), 5.0);
-  // Predicate and frequency are untouched.
-  EXPECT_EQ(neg.frequency().lo, 2.0);
-  EXPECT_TRUE(neg.predicate().Matches({5.0, 0.0}));
-}
-
 TEST(PredicateConstraintTest, SingleAttributeBuilder) {
   Schema schema({{"key", ColumnType::kDouble},
                  {"value", ColumnType::kDouble}});
@@ -122,14 +112,6 @@ TEST(PcSetTest, HalfOpenPartitionIsDisjoint) {
   set.Add(PredicateConstraint(p1, v, {0, 1}));
   set.Add(PredicateConstraint(p2, v, {0, 1}));
   EXPECT_TRUE(set.PredicatesDisjoint());
-}
-
-TEST(PcSetTest, NegatedValuesMapsWholeSet) {
-  PredicateConstraintSet set;
-  set.Add(MakePc(0, 10, 1, 5, 0, 2));
-  const PredicateConstraintSet neg = set.NegatedValues();
-  EXPECT_EQ(neg.at(0).ValueLower(1), -5.0);
-  EXPECT_EQ(neg.at(0).ValueUpper(1), -1.0);
 }
 
 TEST(PcSetTest, EmptySetProperties) {

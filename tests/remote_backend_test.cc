@@ -481,26 +481,10 @@ TEST(StreamTransportTest, BrokenGroupBlockPoisonsTheSession) {
   EXPECT_EQ(after.status().code(), StatusCode::kUnavailable);
 }
 
-TEST(RetryBackoffTest, LegacyDoublingWithoutJitter) {
-  RemoteBackend::RetryPolicy policy;
-  policy.jitter = false;
-  policy.backoff_ms = 5;
-  policy.max_backoff_ms = 35;
-  Rng rng(1);
-  uint32_t prev = 0;
-  std::vector<uint32_t> sleeps;
-  for (int i = 0; i < 5; ++i) {
-    prev = NextRetryBackoffMs(policy, prev, rng);
-    sleeps.push_back(prev);
-  }
-  EXPECT_EQ(sleeps, (std::vector<uint32_t>{5, 10, 20, 35, 35}));
-}
-
 TEST(RetryBackoffTest, DecorrelatedJitterStaysInEnvelopeAndIsSeeded) {
   RemoteBackend::RetryPolicy policy;
   policy.backoff_ms = 5;
   policy.max_backoff_ms = 200;
-  ASSERT_TRUE(policy.jitter);  // the default
 
   // Every sleep lies in [base, min(cap, 3*max(prev, base))].
   Rng rng(42);
