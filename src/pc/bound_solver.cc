@@ -118,68 +118,62 @@ StatusOr<std::vector<PcBoundSolver::CellBound>> PcBoundSolver::BuildCells(
 }
 
 LpModel PcBoundSolver::BuildAllocationModel(
-    const std::vector<CellBound>& cells, const std::vector<double>& objective,
-    const std::optional<Predicate>& where) const {
-  PCX_CHECK_EQ(cells.size(), objective.size());
+    const std::vector<CellBound>& cells, const std::optional<Predicate>& where,
+    double extra_min_rows) const {
   LpModel model;
   model.set_sense(OptSense::kMaximize);
+  CoveringSet used;  // the PCs covering at least one cell
+  for (const CellBound& cell : cells) used |= cell.covering;
+  model.Reserve(cells.size(), used.Count() + 1);
   for (size_t i = 0; i < cells.size(); ++i) {
-    model.AddVariable(objective[i], 0.0, kInf, /*integer=*/true);
+    model.AddVariable(0.0, 0.0, kInf, /*integer=*/true);
   }
   // One ranged frequency row per PC that covers at least one cell
   // (paper Eq. 2): kappa.lo <= sum_{i covered by j} x_i <= kappa.hi.
+  // A frequency *lower* bound applies to all of the PC's rows; when
+  // the query region only intersects part of the predicate those rows
+  // may legitimately live outside the region, so the bound cannot be
+  // imposed on the in-region allocation.
   for (size_t j = 0; j < pcs_.size(); ++j) {
+    const FrequencyConstraint& k = pcs_.at(j).frequency();
+    if (!used.Test(j)) {
+      // No cell of this PC survived. If rows are mandatory the whole
+      // set is unsatisfiable; encode with an impossible empty row on
+      // x_0 or, if there are no variables at all, let the caller
+      // handle it.
+      if (k.lo > 0.0 && !cells.empty() &&
+          QueryCoversConstraint(where, pcs_.at(j))) {
+        LinearConstraint impossible;
+        impossible.terms.push_back({0, 0.0});
+        impossible.lo = k.lo;
+        impossible.hi = kInf;
+        model.AddConstraint(std::move(impossible));
+      }
+      continue;
+    }
     LinearConstraint row;
     for (size_t i = 0; i < cells.size(); ++i) {
       if (cells[i].covering.Test(j)) {
         row.terms.push_back({i, 1.0});
       }
     }
-    const FrequencyConstraint& k = pcs_.at(j).frequency();
     row.hi = k.hi;
-    // A frequency *lower* bound applies to all of the PC's rows; when
-    // the query region only intersects part of the predicate those rows
-    // may legitimately live outside the region, so the bound cannot be
-    // imposed on the in-region allocation.
     row.lo = QueryCoversConstraint(where, pcs_.at(j)) ? k.lo : 0.0;
-    if (row.terms.empty()) {
-      // No cell of this PC survived. If rows are mandatory the whole
-      // set is unsatisfiable; encode with an impossible empty row.
-      if (row.lo > 0.0) {
-        // 0 >= row.lo is infeasible; add a contradictory row on x_0 or,
-        // if there are no variables at all, let the caller handle it.
-        if (!cells.empty()) {
-          LinearConstraint impossible;
-          impossible.terms.push_back({0, 0.0});
-          impossible.lo = row.lo;
-          impossible.hi = kInf;
-          model.AddConstraint(std::move(impossible));
-        }
-      }
-      continue;
-    }
     model.AddConstraint(std::move(row));
   }
-  return model;
-}
-
-StatusOr<double> PcBoundSolver::MaximizeAllocation(
-    const std::vector<CellBound>& cells, const std::vector<double>& objective,
-    const std::optional<Predicate>& where, SolveStats& stats,
-    double extra_min_rows, SimplexSolver::WarmStart* warm,
-    std::vector<double>* argmax) const {
-  if (cells.empty()) {
-    return extra_min_rows > 0.0
-               ? StatusOr<double>(Status::Infeasible("no cells"))
-               : StatusOr<double>(0.0);
-  }
-  LpModel model = BuildAllocationModel(cells, objective, where);
   if (extra_min_rows > 0.0) {
     LinearConstraint row;
     for (size_t i = 0; i < cells.size(); ++i) row.terms.push_back({i, 1.0});
     row.lo = extra_min_rows;
     model.AddConstraint(std::move(row));
   }
+  return model;
+}
+
+StatusOr<double> PcBoundSolver::MaximizeAllocation(
+    LpModel& model, const std::vector<double>& objective, SolveStats& stats,
+    SimplexSolver::WarmStart* warm, std::vector<double>* argmax) const {
+  model.SetObjective(objective);
   BranchAndBoundSolver solver(options_.milp);
   const Solution sol = solver.Solve(model, warm);
   stats.milp_nodes += solver.last_num_nodes();
@@ -231,7 +225,10 @@ StatusOr<ResultRange> PcBoundSolver::BoundAvg(const AggQuery& query,
   // F(r) = max sum (v_i - r) x_i at r_0 = r_lo and then at the ratio of
   // each argmax; r rises every step and stops once F(r) <= 0. Every
   // solve shares the rows under a shifted objective, so the iteration
-  // (and the negated lower pass) chains through one warm-start context.
+  // (and the negated lower pass) chains through one warm-start context
+  // over one model: negating the values leaves the rows as they are.
+  LpModel model =
+      BuildAllocationModel(cells, query.where, /*extra_min_rows=*/1.0);
   SimplexSolver::WarmStart warm;
   auto upper_avg = [&](auto value_of) -> StatusOr<double> {
     double r_lo = kInf, r_hi = -kInf;
@@ -246,8 +243,7 @@ StatusOr<ResultRange> PcBoundSolver::BoundAvg(const AggQuery& query,
       for (size_t i = 0; i < cells.size(); ++i) {
         obj[i] = value_of(cells[i]) - r;
       }
-      return MaximizeAllocation(cells, obj, query.where, stats,
-                                /*extra_min_rows=*/1.0, &warm, argmax);
+      return MaximizeAllocation(model, obj, stats, &warm, argmax);
     };
 
     const SimplexSolver::WarmStart entry_warm = warm;
@@ -346,13 +342,17 @@ StatusOr<ResultRange> PcBoundSolver::BoundMax(const AggQuery& query,
   // Can cell i receive at least one row in a valid allocation? The scan
   // re-solves the same rows with a moving unit objective — chained
   // through one warm-start context.
+  LpModel model;
+  if (options_.check_cell_occupancy) {
+    model = BuildAllocationModel(cells, query.where);
+  }
   SimplexSolver::WarmStart warm;
+  std::vector<double> obj(cells.size(), 0.0);
   auto occupiable = [&](size_t i) -> StatusOr<bool> {
     if (!options_.check_cell_occupancy) return true;
-    std::vector<double> obj(cells.size(), 0.0);
     obj[i] = 1.0;
-    auto opt = MaximizeAllocation(cells, obj, query.where, stats,
-                                  /*extra_min_rows=*/0.0, &warm);
+    auto opt = MaximizeAllocation(model, obj, stats, &warm);
+    obj[i] = 0.0;
     if (!opt.ok()) {
       if (opt.status().code() == StatusCode::kInfeasible) return false;
       return opt.status();
@@ -394,9 +394,10 @@ StatusOr<ResultRange> PcBoundSolver::BoundMax(const AggQuery& query,
     for (const CellBound& c : cells) {
       if (c.val_lo <= t) allowed.push_back(c);
     }
-    std::vector<double> obj(allowed.size(), 0.0);
-    auto feas = MaximizeAllocation(allowed, obj, query.where, stats,
-                                   /*extra_min_rows=*/1.0);
+    LpModel allowed_model =
+        BuildAllocationModel(allowed, query.where, /*extra_min_rows=*/1.0);
+    const std::vector<double> zero(allowed.size(), 0.0);
+    auto feas = MaximizeAllocation(allowed_model, zero, stats);
     if (feas.ok()) {
       out.lo = t;
       break;
@@ -492,7 +493,8 @@ StatusOr<ResultRange> PcBoundSolver::BoundImpl(const AggQuery& query,
       PCX_ASSIGN_OR_RETURN(r.empty_instance_possible,
                            EmptyInstancePossible(query));
       if (cells.empty()) return r;  // [0, 0]
-      std::vector<double> obj_hi(cells.size()), obj_lo(cells.size());
+      // min sum(val_lo * x) = -max sum(-val_lo * x).
+      std::vector<double> obj_hi(cells.size()), neg_lo(cells.size());
       for (size_t i = 0; i < cells.size(); ++i) {
         if (cells[i].val_hi == kInf) {
           r.hi = kInf;
@@ -501,23 +503,18 @@ StatusOr<ResultRange> PcBoundSolver::BoundImpl(const AggQuery& query,
           r.lo = -kInf;
         }
         obj_hi[i] = std::min(cells[i].val_hi, 1e300);
-        obj_lo[i] = std::max(cells[i].val_lo, -1e300);
+        neg_lo[i] = -std::max(cells[i].val_lo, -1e300);
       }
       // The upper and lower solves share rows; chain them warm.
+      LpModel model = BuildAllocationModel(cells, query.where);
       SimplexSolver::WarmStart warm;
       if (r.hi != kInf) {
-        PCX_ASSIGN_OR_RETURN(
-            r.hi, MaximizeAllocation(cells, obj_hi, query.where, stats,
-                                     /*extra_min_rows=*/0.0, &warm));
+        PCX_ASSIGN_OR_RETURN(r.hi,
+                             MaximizeAllocation(model, obj_hi, stats, &warm));
       }
       if (r.lo != -kInf) {
-        // min sum(val_lo * x) = -max sum(-val_lo * x).
-        std::vector<double> neg(obj_lo.size());
-        for (size_t i = 0; i < neg.size(); ++i) neg[i] = -obj_lo[i];
-        PCX_ASSIGN_OR_RETURN(
-            const double m,
-            MaximizeAllocation(cells, neg, query.where, stats,
-                               /*extra_min_rows=*/0.0, &warm));
+        PCX_ASSIGN_OR_RETURN(const double m,
+                             MaximizeAllocation(model, neg_lo, stats, &warm));
         r.lo = -m;
       }
       return r;
@@ -547,15 +544,13 @@ StatusOr<ResultRange> PcBoundSolver::BoundImpl(const AggQuery& query,
       PCX_ASSIGN_OR_RETURN(r.empty_instance_possible,
                            EmptyInstancePossible(query));
       if (cells.empty()) return r;
+      LpModel model = BuildAllocationModel(cells, query.where);
       SimplexSolver::WarmStart warm;
-      std::vector<double> ones(cells.size(), 1.0);
-      PCX_ASSIGN_OR_RETURN(
-          r.hi, MaximizeAllocation(cells, ones, query.where, stats,
-                                   /*extra_min_rows=*/0.0, &warm));
-      std::vector<double> neg(cells.size(), -1.0);
-      PCX_ASSIGN_OR_RETURN(
-          const double m, MaximizeAllocation(cells, neg, query.where, stats,
-                                             /*extra_min_rows=*/0.0, &warm));
+      std::vector<double> obj(cells.size(), 1.0);
+      PCX_ASSIGN_OR_RETURN(r.hi, MaximizeAllocation(model, obj, stats, &warm));
+      std::fill(obj.begin(), obj.end(), -1.0);
+      PCX_ASSIGN_OR_RETURN(const double m,
+                           MaximizeAllocation(model, obj, stats, &warm));
       r.lo = -m;
       return r;
     }

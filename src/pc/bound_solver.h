@@ -160,27 +160,29 @@ class PcBoundSolver {
   /// full enumeration must run (no index / no WHERE).
   std::optional<std::vector<uint32_t>> RelevantFor(const AggQuery& query) const;
 
-  /// Builds the allocation MILP (paper Eq. 2) over `cells`:
-  /// one integer variable per cell, ranged frequency row per PC.
-  /// Frequency lower bounds are kept only when the PC's predicate is
-  /// entirely inside the query region (otherwise the PC's mandatory rows
-  /// may fall outside the query, and forcing them in would be unsound).
+  /// Builds the allocation MILP (paper Eq. 2) over `cells` with a zero
+  /// objective: one integer variable per cell, one ranged frequency row
+  /// per PC covering a cell and, when `extra_min_rows` > 0, the row
+  /// Σx >= extra_min_rows. Frequency lower bounds are kept only when the
+  /// PC's predicate is entirely inside the query region (otherwise the
+  /// PC's mandatory rows may fall outside the query, and forcing them in
+  /// would be unsound). A query builds it once; its solves differ only
+  /// in the objective.
   LpModel BuildAllocationModel(const std::vector<CellBound>& cells,
-                               const std::vector<double>& objective,
-                               const std::optional<Predicate>& where) const;
+                               const std::optional<Predicate>& where,
+                               double extra_min_rows = 0.0) const;
 
-  /// Max of Σ objective_i · x_i; infinity-aware. `warm` (optional)
-  /// chains consecutive solves over the same cell set — the MILP's root
-  /// basis is carried from call to call, replacing phase-1 with a few
-  /// warm pivots when only the objective changed (occupancy scans, the
-  /// AVG ratio iteration, the SUM lower/upper pair). `argmax`
-  /// (optional) receives the integer allocation x attaining the
-  /// maximum; it is written only when the solve is optimal.
-  StatusOr<double> MaximizeAllocation(const std::vector<CellBound>& cells,
+  /// Sets `model`'s objective and returns the max of
+  /// Σ objective_i · x_i; infinity-aware. `warm` (optional) chains
+  /// consecutive solves over the same model — the MILP's root basis is
+  /// carried from call to call, replacing phase-1 with a few warm
+  /// pivots when only the objective changed (occupancy scans, the AVG
+  /// ratio iteration, the SUM lower/upper pair). `argmax` (optional)
+  /// receives the integer allocation x attaining the maximum; it is
+  /// written only when the solve is optimal.
+  StatusOr<double> MaximizeAllocation(LpModel& model,
                                       const std::vector<double>& objective,
-                                      const std::optional<Predicate>& where,
                                       SolveStats& stats,
-                                      double extra_min_rows = 0.0,
                                       SimplexSolver::WarmStart* warm = nullptr,
                                       std::vector<double>* argmax =
                                           nullptr) const;

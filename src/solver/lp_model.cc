@@ -1,10 +1,19 @@
 #include "solver/lp_model.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/check.h"
 
 namespace pcx {
+
+void LpModel::Reserve(size_t variables, size_t constraints) {
+  objective_.reserve(variables);
+  var_lo_.reserve(variables);
+  var_hi_.reserve(variables);
+  integer_.reserve(variables);
+  constraints_.reserve(constraints);
+}
 
 size_t LpModel::AddVariable(double objective_coef, double lo, double hi,
                             bool integer) {
@@ -24,6 +33,11 @@ size_t LpModel::AddConstraint(LinearConstraint c) {
   }
   constraints_.push_back(std::move(c));
   return constraints_.size() - 1;
+}
+
+void LpModel::SetObjective(const std::vector<double>& coefs) {
+  PCX_CHECK_EQ(coefs.size(), objective_.size());
+  std::copy(coefs.begin(), coefs.end(), objective_.begin());
 }
 
 void LpModel::SetVariableBounds(size_t v, double lo, double hi) {

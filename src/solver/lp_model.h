@@ -29,6 +29,9 @@ class LpModel {
  public:
   LpModel() = default;
 
+  /// Reserves room for `variables` variables and `constraints` rows.
+  void Reserve(size_t variables, size_t constraints);
+
   /// Adds a variable with the given bounds and objective coefficient;
   /// returns its index.
   size_t AddVariable(double objective_coef, double lo = 0.0,
@@ -51,6 +54,10 @@ class LpModel {
   const std::vector<LinearConstraint>& constraints() const {
     return constraints_;
   }
+
+  /// Replaces the objective, one coefficient per variable, keeping the
+  /// rows: callers re-solve one row set under many objectives.
+  void SetObjective(const std::vector<double>& coefs);
 
   /// Tightens the bounds of variable `v` (used by branch & bound).
   void SetVariableBounds(size_t v, double lo, double hi);

@@ -1,6 +1,7 @@
 #include "solver/milp.h"
 
 #include <cmath>
+#include <limits>
 #include <queue>
 #include <vector>
 
@@ -42,6 +43,15 @@ size_t PickBranchVariable(const LpModel& model, const std::vector<double>& x,
   return best;
 }
 
+/// An integral relaxation as an incumbent: integer variables rounded
+/// to shed tolerance noise.
+Solution RoundedIncumbent(const LpModel& model, Solution relax) {
+  for (size_t i = 0; i < model.num_variables(); ++i) {
+    if (model.integer()[i]) relax.x[i] = std::round(relax.x[i]);
+  }
+  return relax;
+}
+
 }  // namespace
 
 Solution BranchAndBoundSolver::Solve(const LpModel& model) const {
@@ -65,8 +75,39 @@ Solution BranchAndBoundSolver::Solve(
   }
 
   const bool maximize = model.sense() == OptSense::kMaximize;
-  LpModel work = model;
+  if (options_.max_nodes == 0) {
+    Solution out;
+    out.status = SolveStatus::kIterationLimit;
+    return out;
+  }
 
+  // The root relaxation is solved in place on the caller's model and
+  // chains the caller's basis directly; most §4.2 models are integral
+  // here, so nothing below runs for them.
+  SimplexSolver::WarmStart local_warm;
+  SimplexSolver::WarmStart* warm = nullptr;
+  if (options_.use_warm_start) {
+    warm = root_warm != nullptr ? root_warm : &local_warm;
+  }
+  ++last_num_nodes_;
+  Solution root = warm != nullptr ? lp_solver_.Solve(model, warm)
+                                  : lp_solver_.Solve(model);
+  ++last_lp_solves_;
+  last_lp_pivots_ += root.pivots;
+  if (root.warm_used) ++last_warm_solves_;
+  if (root.status != SolveStatus::kOptimal) {
+    // An unbounded relaxation at the root means the MILP is unbounded
+    // too (our feasible cones contain integer rays).
+    Solution out;
+    out.status = root.status;
+    return out;
+  }
+  const size_t root_branch =
+      PickBranchVariable(model, root.x, options_.int_tol);
+  if (root_branch == SIZE_MAX) return RoundedIncumbent(model, std::move(root));
+
+  // A fractional root: branch on a copy of the model.
+  LpModel work = model;
   Solution incumbent;
   incumbent.status = SolveStatus::kInfeasible;
   double incumbent_obj =
@@ -78,14 +119,30 @@ Solution BranchAndBoundSolver::Solve(
 
   std::priority_queue<Node, std::vector<Node>, NodeOrder> open(
       NodeOrder{maximize});
-  Node root{{},
-            maximize ? std::numeric_limits<double>::infinity()
-                     : -std::numeric_limits<double>::infinity(),
-            {}};
-  if (options_.use_warm_start && root_warm != nullptr) {
-    root.warm = *root_warm;  // seed the root from the previous solve
-  }
-  open.push(std::move(root));
+  // Pushes the two children of `parent` split at x[branch_var] = v,
+  // each starting from `basis`, the parent's optimal basis.
+  auto push_children = [&](const Node& parent, const Solution& relax,
+                           size_t branch_var,
+                           const SimplexSolver::WarmStart* basis) {
+    const double v = relax.x[branch_var];
+    Node down = parent;
+    down.lp_bound = relax.objective;
+    down.bounds.push_back(
+        {branch_var,
+         {-std::numeric_limits<double>::infinity(), std::floor(v)}});
+    Node up = parent;
+    up.lp_bound = relax.objective;
+    up.bounds.push_back(
+        {branch_var,
+         {std::ceil(v), std::numeric_limits<double>::infinity()}});
+    if (basis != nullptr) {
+      down.warm = *basis;
+      up.warm = *basis;
+    }
+    open.push(std::move(down));
+    open.push(std::move(up));
+  };
+  push_children(Node{}, root, root_branch, warm);
 
   bool hit_limit = false;
   while (!open.empty()) {
@@ -121,24 +178,18 @@ Solution BranchAndBoundSolver::Solve(
     }
     if (!bounds_ok) continue;
 
-    SimplexSolver::WarmStart warm;
-    if (options_.use_warm_start) warm = std::move(node.warm);
+    SimplexSolver::WarmStart node_warm;
+    if (options_.use_warm_start) node_warm = std::move(node.warm);
     // With warm starts disabled, pass no basis slot at all so the cold
     // path skips basis extraction (the pre-overhaul cost profile).
     const Solution relax = options_.use_warm_start
-                               ? lp_solver_.Solve(work, &warm)
+                               ? lp_solver_.Solve(work, &node_warm)
                                : lp_solver_.Solve(work);
     ++last_lp_solves_;
     last_lp_pivots_ += relax.pivots;
     if (relax.warm_used) ++last_warm_solves_;
-    if (node.bounds.empty() && root_warm != nullptr &&
-        options_.use_warm_start) {
-      *root_warm = warm;  // hand the root basis to the caller's next solve
-    }
     if (relax.status == SolveStatus::kInfeasible) continue;
     if (relax.status == SolveStatus::kUnbounded) {
-      // An unbounded relaxation at the root means the MILP is unbounded
-      // too (our feasible cones contain integer rays).
       Solution out;
       out.status = SolveStatus::kUnbounded;
       return out;
@@ -155,36 +206,16 @@ Solution BranchAndBoundSolver::Solve(
     const size_t branch_var =
         PickBranchVariable(model, relax.x, options_.int_tol);
     if (branch_var == SIZE_MAX) {
-      // Integral: round off tolerance noise and accept as incumbent.
-      Solution cand = relax;
-      for (size_t i = 0; i < model.num_variables(); ++i) {
-        if (model.integer()[i]) cand.x[i] = std::round(cand.x[i]);
-      }
+      Solution cand = RoundedIncumbent(model, relax);
       if (incumbent.status != SolveStatus::kOptimal ||
           better(cand.objective, incumbent_obj)) {
-        incumbent = cand;
-        incumbent_obj = cand.objective;
+        incumbent = std::move(cand);
+        incumbent_obj = incumbent.objective;
       }
       continue;
     }
-
-    const double v = relax.x[branch_var];
-    Node down = node;
-    down.lp_bound = relax.objective;
-    down.bounds.push_back(
-        {branch_var,
-         {-std::numeric_limits<double>::infinity(), std::floor(v)}});
-    Node up = node;
-    up.lp_bound = relax.objective;
-    up.bounds.push_back(
-        {branch_var,
-         {std::ceil(v), std::numeric_limits<double>::infinity()}});
-    if (options_.use_warm_start) {
-      down.warm = warm;  // this node's optimal basis, not the parent's
-      up.warm = std::move(warm);
-    }
-    open.push(std::move(down));
-    open.push(std::move(up));
+    push_children(node, relax, branch_var,
+                  options_.use_warm_start ? &node_warm : nullptr);
   }
 
   if (incumbent.status == SolveStatus::kOptimal) return incumbent;

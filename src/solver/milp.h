@@ -15,6 +15,10 @@ namespace pcx {
 /// integral and the search tree stays tiny; nonetheless the solver is a
 /// complete general-purpose MILP engine with node/iteration caps.
 ///
+/// The root relaxation is solved in place on the caller's model. Only a
+/// fractional root copies the model and starts the node queue, so the
+/// usual single-node solve costs one LP and no copy.
+///
 /// Each node hands its optimal basis to its children, so a child
 /// relaxation starts warm and usually re-optimizes in a handful of dual
 /// pivots instead of a full two-phase solve (see

@@ -15,8 +15,12 @@ namespace pcx {
 ///
 /// Scope: the LPs produced by pcx are small and dense — one variable per
 /// decomposition cell or per joined relation, one ranged row per
-/// predicate-constraint — so a full-tableau implementation with Bland's
-/// anti-cycling rule is entirely adequate. Integer variables are ignored
+/// predicate-constraint — so a dense tableau with Dantzig pricing and
+/// Bland's anti-cycling rule is entirely adequate. The tableau is one
+/// row-major array, filled straight from the model's rows. It and every
+/// other scratch buffer live in a per-thread workspace that keeps its
+/// capacity, so a chain of solves on one thread allocates nothing after
+/// its first solve but each Solution::x. Integer variables are ignored
 /// here (the relaxation is solved); see BranchAndBoundSolver for MILP.
 ///
 /// Requirements: every variable must have a finite lower bound (pcx

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/random.h"
 #include "solver/milp.h"
@@ -125,6 +126,38 @@ TEST(MilpTest, NodeCounterPopulated) {
   BranchAndBoundSolver solver;
   solver.Solve(m);
   EXPECT_GE(solver.last_num_nodes(), 1u);
+}
+
+TEST(MilpTest, FractionalRootBranchesAndChainsTheRootBasis) {
+  // max x + y s.t. 2x + 2y <= 3, x - y in [-1, 1], x, y integer: the
+  // root relaxation is 1.5, so the search copies the model and runs
+  // the node queue down to the integer optimum 1.
+  LpModel m;
+  const size_t x = m.AddVariable(1.0, 0.0, kInf, true);
+  const size_t y = m.AddVariable(1.0, 0.0, kInf, true);
+  m.AddConstraint({{{x, 2.0}, {y, 2.0}}, -kInf, 3.0});
+  m.AddConstraint({{{x, 1.0}, {y, -1.0}}, -1.0, 1.0});
+  const std::string before = m.ToString();
+  for (const bool warm_start : {true, false}) {
+    BranchAndBoundSolver::Options options;
+    options.use_warm_start = warm_start;
+    const BranchAndBoundSolver solver(options);
+    SimplexSolver::WarmStart root_warm;
+    const Solution s = solver.Solve(m, &root_warm);
+    ASSERT_EQ(s.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(s.objective, 1.0, 1e-9);
+    EXPECT_NEAR(s.x[x] + s.x[y], 1.0, 1e-9);
+    EXPECT_GT(solver.last_num_nodes(), 1u);
+    EXPECT_EQ(solver.last_lp_solves(), solver.last_num_nodes());
+    // The caller's model is solved in place and left as it was.
+    EXPECT_EQ(m.ToString(), before);
+    // The root basis goes back to the caller only when warm starts are
+    // on; a second solve then starts its root warm.
+    EXPECT_EQ(root_warm.valid(), warm_start);
+    const Solution again = solver.Solve(m, &root_warm);
+    EXPECT_NEAR(again.objective, 1.0, 1e-9);
+    EXPECT_EQ(solver.last_warm_solves() > 0, warm_start);
+  }
 }
 
 /// Random small MILPs, verified against brute-force enumeration of the
